@@ -343,6 +343,10 @@ class DynamicOutcome:
         }
 
 
+#: The measured fields of a grid cell, in payload order.
+CELL_FIELDS: tuple[str, ...] = ("node_energy_j", "cpu_energy_j", "time_s")
+
+
 @dataclass(frozen=True)
 class GridMeasurement:
     """A rectangular CF x UCF measurement at one thread count.
@@ -364,6 +368,37 @@ class GridMeasurement:
     node_energy_j: np.ndarray
     cpu_energy_j: np.ndarray
     time_s: np.ndarray
+
+    @classmethod
+    def from_cells(
+        cls,
+        spec: GridSpec,
+        threads: int,
+        cfs: tuple[float, ...],
+        ucfs: tuple[float, ...],
+        cells: dict[str, list[float]],
+    ) -> GridMeasurement:
+        """The grid of ``spec`` from CF-major flat cell sequences, one
+        per :data:`CELL_FIELDS` name."""
+        shape = (len(cfs), len(ucfs))
+        return cls(
+            benchmark=spec.benchmark,
+            threads=threads,
+            node_id=spec.node_id,
+            seed=spec.seed,
+            core_frequencies=cfs,
+            uncore_frequencies=ucfs,
+            **{name: np.array(cells[name]).reshape(shape) for name in CELL_FIELDS},
+        )
+
+    @staticmethod
+    def payload_cells(payloads) -> dict[str, list[float]]:
+        """Flat cell sequences of a grid's campaign row payloads, in
+        order — the ``cells`` argument of :meth:`from_cells`."""
+        return {
+            name: [value for payload in payloads for value in payload[name]]
+            for name in CELL_FIELDS
+        }
 
     @property
     def cells(self) -> int:
@@ -489,120 +524,6 @@ def grid_axes(stride: int = 1) -> tuple[tuple[float, ...], tuple[float, ...]]:
     )
 
 
-def sweep_grid(
-    benchmark: str,
-    *,
-    threads: int | None = None,
-    stride: int = 1,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    options: ExecutionOptions | None = None,
-) -> GridMeasurement:
-    """Measure the CF x UCF grid for one benchmark at one thread count.
-
-    The default path is one pass through the config-axis sweep engine;
-    ``options.engine="loop"`` runs the bit-identical per-cell reference
-    loop, and ``options.campaign`` executes the grid as cacheable
-    per-row campaign jobs instead.  Cells carry the canonical
-    ``("heatmap", cf, ucf)`` noise keys, so the measurement equals the
-    Figures 6/7 heatmap cells and any solo run at the same coordinates.
-    """
-    options = options if options is not None else ExecutionOptions()
-    engine = options.grid_engine()
-    app = registry.build(benchmark)
-    if threads is None:
-        threads = app.default_threads
-    cfs, ucfs = grid_axes(stride)
-    cluster = options.resolve_cluster(seed)
-    cluster.check_node_id(node_id)
-    points = [OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs]
-    shape = (len(cfs), len(ucfs))
-    if options.campaign is not None:
-        if engine != "sweep":
-            raise CampaignError(
-                "campaign-backed grids measure through the sweep engine; "
-                f"drop campaign= or use engine='sweep', not {engine!r}"
-            )
-        from repro.campaign.engine import run_app_jobs
-        from repro.campaign.plan import grid_jobs
-
-        if options.campaign.topology != cluster.topology:
-            raise CampaignError(
-                f"campaign engine topology {options.campaign.topology!r} "
-                f"does not match the cluster's {cluster.topology!r}"
-            )
-        jobs = grid_jobs(
-            benchmark,
-            label="heatmap",
-            points=points,
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-        )
-        results = run_app_jobs(
-            jobs,
-            app,
-            cluster=cluster,
-            engine=options.campaign,
-            on_failure=options.on_failure,
-            retry_failed=options.retry_failed,
-        )
-        payloads = [results[job] for job in jobs]
-        energies = np.array(
-            [e for p in payloads for e in p["node_energy_j"]]
-        ).reshape(shape)
-        cpu = np.array(
-            [e for p in payloads for e in p["cpu_energy_j"]]
-        ).reshape(shape)
-        times = np.array(
-            [t for p in payloads for t in p["time_s"]]
-        ).reshape(shape)
-    elif engine == "sweep":
-        from repro.execution.sweep_replay import sweep_run
-
-        sweep = sweep_run(
-            app,
-            points,
-            run_keys=[
-                ("heatmap", p.core_freq_ghz, p.uncore_freq_ghz) for p in points
-            ],
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-            topology=cluster.topology,
-        )
-        energies = np.array([r.node_energy_j for r in sweep.results]).reshape(shape)
-        cpu = np.array([r.cpu_energy_j for r in sweep.results]).reshape(shape)
-        times = np.array([r.time_s for r in sweep.results]).reshape(shape)
-    else:
-        from repro.execution.simulator import ExecutionSimulator
-
-        energies = np.empty(shape)
-        cpu = np.empty(shape)
-        times = np.empty(shape)
-        for i, cf in enumerate(cfs):
-            for j, ucf in enumerate(ucfs):
-                node = cluster.fresh_node(node_id)
-                node.set_frequencies(cf, ucf)
-                run = ExecutionSimulator(node, seed=seed).run(
-                    app, threads=threads, run_key=("heatmap", cf, ucf)
-                )
-                energies[i, j] = run.node_energy_j
-                cpu[i, j] = run.cpu_energy_j
-                times[i, j] = run.time_s
-    return GridMeasurement(
-        benchmark=benchmark,
-        threads=threads,
-        node_id=node_id,
-        seed=seed,
-        core_frequencies=cfs,
-        uncore_frequencies=ucfs,
-        node_energy_j=energies,
-        cpu_energy_j=cpu,
-        time_s=times,
-    )
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """One grid measurement's identity — :func:`sweep_grid`'s arguments
@@ -615,45 +536,78 @@ class GridSpec:
     seed: int = config.DEFAULT_SEED
 
 
+def _loop_cells(app, spec: GridSpec, points, cluster) -> dict[str, list[float]]:
+    """The per-cell reference: one fresh node and one run per cell."""
+    from repro.execution.simulator import ExecutionSimulator
+
+    cells: dict[str, list[float]] = {name: [] for name in CELL_FIELDS}
+    for point in points:
+        cf, ucf = point.core_freq_ghz, point.uncore_freq_ghz
+        node = cluster.fresh_node(spec.node_id)
+        node.set_frequencies(cf, ucf)
+        run = ExecutionSimulator(node, seed=spec.seed).run(
+            app, threads=point.threads, run_key=("heatmap", cf, ucf)
+        )
+        for name in CELL_FIELDS:
+            cells[name].append(getattr(run, name))
+    return cells
+
+
+def sweep_grid(
+    benchmark: str,
+    *,
+    threads: int | None = None,
+    stride: int = 1,
+    node_id: int = 0,
+    seed: int = config.DEFAULT_SEED,
+    options: ExecutionOptions | None = None,
+) -> GridMeasurement:
+    """Measure the CF x UCF grid for one benchmark at one thread count.
+
+    The one-grid case of :func:`sweep_grids`: by default one pass
+    through the config-axis sweep engine; ``options.engine="loop"``
+    runs the bit-identical per-cell reference loop, and
+    ``options.campaign`` executes the grid as cacheable per-row
+    campaign jobs instead.  Cells carry the canonical
+    ``("heatmap", cf, ucf)`` noise keys, so the measurement equals the
+    Figures 6/7 heatmap cells and any solo run at the same coordinates.
+    """
+    spec = GridSpec(
+        benchmark, threads=threads, stride=stride, node_id=node_id, seed=seed
+    )
+    return sweep_grids([spec], options=options)[0]
+
+
 def sweep_grids(
     specs: "list[GridSpec] | tuple[GridSpec, ...]",
     *,
     options: ExecutionOptions | None = None,
 ) -> list[GridMeasurement]:
     """Measure many CF x UCF grids — across benchmarks, thread counts,
-    nodes and seeds — in one batched pass.
+    nodes and seeds — in one call.
 
-    This is the multi-grid generalisation of :func:`sweep_grid`: every
-    cell of every grid becomes one member of a single fleet-kernel
-    invocation (:func:`repro.execution.fleet_replay.fleet_run`), so the
-    structural schedules compile once per application, the keyed noise
-    for the whole fleet is drawn in one batched pass, and pricing is a
-    handful of padded-matrix folds instead of one engine pass per grid.
-    Each returned grid is bit-identical to ``sweep_grid`` of its spec —
-    batch-mates never change a cell.
+    Each grid is priced by one config-axis sweep
+    (:func:`repro.execution.sweep_replay.sweep_run`) on its fresh-node
+    recipe.  Each returned grid is bit-identical to ``sweep_grid`` of
+    its spec — batch-mates never change a cell.
 
     With ``options.campaign``, all grids go into one campaign plan
     executed with the fleet strategy (``fleet=True``) — rows cache
     under their usual per-job store keys.  ``options.engine="loop"``
-    falls back to the per-cell reference loop, one grid at a time.
+    measures every cell through the per-cell reference loop.
     """
     options = options if options is not None else ExecutionOptions()
     specs = list(specs)
     engine = options.grid_engine()
-    if engine == "loop" or len(specs) == 0:
-        return [
-            sweep_grid(
-                s.benchmark,
-                threads=s.threads,
-                stride=s.stride,
-                node_id=s.node_id,
-                seed=s.seed,
-                options=options,
-            )
-            for s in specs
-        ]
+    if not specs:
+        return []
+    campaign = options.campaign
+    if campaign is not None and engine != "sweep":
+        raise CampaignError(
+            "campaign-backed grids measure through the sweep engine; "
+            f"drop campaign= or use engine='sweep', not {engine!r}"
+        )
 
-    # Resolve each spec exactly as sweep_grid would.
     resolved = []
     for s in specs:
         app = registry.build(s.benchmark)
@@ -661,24 +615,27 @@ def sweep_grids(
         cfs, ucfs = grid_axes(s.stride)
         cluster = options.resolve_cluster(s.seed)
         cluster.check_node_id(s.node_id)
-        points = [
-            OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs
-        ]
+        if campaign is not None and campaign.topology != cluster.topology:
+            raise CampaignError(
+                f"campaign engine topology {campaign.topology!r} "
+                f"does not match the cluster's {cluster.topology!r}"
+            )
+        points = [OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs]
         resolved.append((s, app, threads, cfs, ucfs, cluster, points))
 
-    if options.campaign is not None:
+    if engine == "loop":
+        return [
+            GridMeasurement.from_cells(
+                s, threads, cfs, ucfs, _loop_cells(app, s, points, cluster)
+            )
+            for s, app, threads, cfs, ucfs, cluster, points in resolved
+        ]
+
+    if campaign is not None:
         from repro.campaign.plan import CampaignPlan, grid_jobs
 
-        all_jobs: list = []
-        spec_jobs: list[tuple] = []
-        for s, app, threads, cfs, ucfs, cluster, points in resolved:
-            if options.campaign.topology != cluster.topology:
-                raise CampaignError(
-                    f"campaign engine topology "
-                    f"{options.campaign.topology!r} does not match the "
-                    f"cluster's {cluster.topology!r}"
-                )
-            jobs = grid_jobs(
+        spec_jobs = [
+            grid_jobs(
                 s.benchmark,
                 label="heatmap",
                 points=points,
@@ -686,86 +643,47 @@ def sweep_grids(
                 seed=s.seed,
                 node_seed=cluster.seed,
             )
-            spec_jobs.append(jobs)
-            all_jobs.extend(jobs)
-        results = options.campaign.run(
-            CampaignPlan(tuple(all_jobs)),
+            for s, app, threads, cfs, ucfs, cluster, points in resolved
+        ]
+        results = campaign.run(
+            CampaignPlan(tuple(job for jobs in spec_jobs for job in jobs)),
             on_failure=options.on_failure,
             retry_failed=options.retry_failed,
             fleet=True,
         )
-        grids = []
-        for (s, app, threads, cfs, ucfs, cluster, points), jobs in zip(
-            resolved, spec_jobs
-        ):
-            payloads = [results[job] for job in jobs]
-            shape = (len(cfs), len(ucfs))
-            grids.append(
-                GridMeasurement(
-                    benchmark=s.benchmark,
-                    threads=threads,
-                    node_id=s.node_id,
-                    seed=s.seed,
-                    core_frequencies=cfs,
-                    uncore_frequencies=ucfs,
-                    node_energy_j=np.array(
-                        [e for p in payloads for e in p["node_energy_j"]]
-                    ).reshape(shape),
-                    cpu_energy_j=np.array(
-                        [e for p in payloads for e in p["cpu_energy_j"]]
-                    ).reshape(shape),
-                    time_s=np.array(
-                        [t for p in payloads for t in p["time_s"]]
-                    ).reshape(shape),
-                )
+        return [
+            GridMeasurement.from_cells(
+                s,
+                threads,
+                cfs,
+                ucfs,
+                GridMeasurement.payload_cells([results[job] for job in jobs]),
             )
-        return grids
-
-    from repro.execution.fleet_replay import FleetMember, fleet_run
-
-    members: list[FleetMember] = []
-    spans: list[tuple[int, int]] = []
-    for s, app, threads, cfs, ucfs, cluster, points in resolved:
-        start = len(members)
-        for point in points:
-            members.append(
-                FleetMember(
-                    app=app,
-                    run_key=(
-                        "heatmap", point.core_freq_ghz, point.uncore_freq_ghz
-                    ),
-                    node_id=s.node_id,
-                    seed=s.seed,
-                    node_seed=cluster.seed,
-                    topology=cluster.topology,
-                    point=point,
-                )
+            for (s, app, threads, cfs, ucfs, cluster, points), jobs in zip(
+                resolved, spec_jobs
             )
-        spans.append((start, len(points)))
-    fleet = fleet_run(members)
+        ]
+
+    from repro.execution.sweep_replay import sweep_run
+
     grids = []
-    for (s, app, threads, cfs, ucfs, cluster, points), (start, count) in zip(
-        resolved, spans
-    ):
-        rows = fleet.results[start:start + count]
-        shape = (len(cfs), len(ucfs))
-        grids.append(
-            GridMeasurement(
-                benchmark=s.benchmark,
-                threads=threads,
-                node_id=s.node_id,
-                seed=s.seed,
-                core_frequencies=cfs,
-                uncore_frequencies=ucfs,
-                node_energy_j=np.array(
-                    [r.node_energy_j for r in rows]
-                ).reshape(shape),
-                cpu_energy_j=np.array(
-                    [r.cpu_energy_j for r in rows]
-                ).reshape(shape),
-                time_s=np.array([r.time_s for r in rows]).reshape(shape),
-            )
+    for s, app, threads, cfs, ucfs, cluster, points in resolved:
+        sweep = sweep_run(
+            app,
+            points,
+            run_keys=[
+                ("heatmap", p.core_freq_ghz, p.uncore_freq_ghz) for p in points
+            ],
+            node_id=s.node_id,
+            seed=s.seed,
+            node_seed=cluster.seed,
+            topology=cluster.topology,
         )
+        cells = {
+            name: [getattr(r, name) for r in sweep.results]
+            for name in CELL_FIELDS
+        }
+        grids.append(GridMeasurement.from_cells(s, threads, cfs, ucfs, cells))
     return grids
 
 

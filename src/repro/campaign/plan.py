@@ -85,8 +85,8 @@ COUNTER_MEASUREMENT_RUNS = 3
 FLEET_MODES: tuple[str, ...] = ("sweep", "static", "savings", "grid")
 
 #: Jobs batched into one fleet kernel invocation by default.  Large
-#: enough to amortise the padded-matrix setup, small enough that a
-#: pool still load-balances shards across workers.
+#: enough that grid rows of one recipe share a sweep, small enough
+#: that a pool still load-balances shards across workers.
 DEFAULT_FLEET_SHARD_SIZE = 16
 
 

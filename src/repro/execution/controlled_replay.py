@@ -542,9 +542,7 @@ class FlatControlSchedule:
 
     The pricing view of a :class:`ControlSchedule` under one noise
     matrix: every span's charge plan tiled over its iterations and
-    concatenated in execution order.  Shared by the per-run controlled
-    replay and the fleet kernel (:mod:`repro.execution.fleet_replay`),
-    which prices many members' flat sequences side by side.
+    concatenated in execution order.
     """
 
     durations: np.ndarray         #: (L,) every charge duration, in order
@@ -630,9 +628,7 @@ def materialise_control_instances(
     """Derive every :class:`RegionInstance` row of one controlled run.
 
     ``timeline`` is the simulated clock after each flattened charge
-    (with a leading entry time); only positions within the run's real
-    charge count are read, so a row sliced out of a padded fleet matrix
-    works exactly like the per-run vector.
+    (with a leading entry time).
     """
     from repro.execution.simulator import RegionInstance
 

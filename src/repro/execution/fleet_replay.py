@@ -1,79 +1,46 @@
-"""Fleet-scale replay: batch the application x node x controller axes.
+"""Fleet replay: one call for any mix of fresh-node runs.
 
-PRs 2/4/5 vectorized every *within-run* axis — phases, compiled switch
-schedules, the CF x UCF config grid — but a multi-app campaign still
-executes runs one at a time through a Python loop: fresh node, compile,
-draw noise, price, repeat.  This module batches that outer loop.  A
-*fleet* is any mix of replay requests — different applications,
+A *fleet* is any mix of replay requests — different applications,
 different (virtual) nodes, different controllers or none, instrumented
-or not — and the kernel prices all of them in one pass:
+or not.  :func:`fleet_run` prices all of them and returns one result
+per member, in member order.  It owns no pricing of its own; it
+dispatches every member to the kernel that already prices its kind:
 
-**Phase 1 — per-member compilation.**  Uncontrolled members reuse the
-PR-5 structural walk (:func:`~repro.execution.sweep_replay._compile_structure`
-+ :func:`~repro.execution.sweep_replay._evaluate_config`), deduplicated
-across members sharing an application build and node recipe.
-Controller-driven members compile their switch schedule exactly like
-the per-run engine (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
-via the controller's ``compile_schedule`` protocol) against a real
-:class:`~repro.hardware.node.ComputeNode`, so RRL statistics and
-MSR/DVFS side effects are byte-for-byte those of the per-run path.
+* **Uncontrolled members** are grouped by fresh-node recipe — the
+  application build, the instrumentation filter, ``node_id``,
+  ``node_seed``, topology, variability and ``seed``.  Each group is
+  one :func:`~repro.execution.sweep_replay.sweep_run` call over its
+  members' operating points and run keys, so a CF x UCF grid compiles
+  its structure, draws its keyed noise and folds its charges once.
+* **Controlled members** run one at a time through
+  :meth:`ExecutionSimulator.run <repro.execution.simulator.ExecutionSimulator.run>`
+  on a fresh node, which dispatches to
+  :func:`~repro.execution.controlled_replay.replay_controlled_run` (or
+  to the recursive engine when the controller cannot compile a switch
+  schedule).  RRL statistics and MSR/DVFS side effects are therefore
+  exactly those of the per-run path.
 
-**Phase 2 — one fleet-wide noise draw.**  Every member's keyed
-(work region x iteration) seed matrix is flattened and concatenated,
-one :func:`~repro.util.rng.batched_lognormal` call covers the whole
-fleet, and the draws are sliced back per member.  Keyed streams are
-drawn per seed independently, so the batch boundary cannot change any
-member's noise.
+Grouping keys on object identity (app, instrumentation, topology,
+variability), so it costs no topology construction or dataclass
+hashing; equal but distinct objects just land in different groups.
 
-**Phase 3/4 — zero-padded batch pricing.**  Each member's flattened
-charge sequence becomes one row of a shared ``(members, max_charges)``
-matrix, short rows padded with zeros.  Row-wise ``cumsum`` /
-``np.add.accumulate`` / RAPL tick folds are strict left folds per row,
-and zero-duration charges are exact no-ops in every one of those folds
-(``x + 0.0 == x``; a zero-energy RAPL deposit never advances the tick
-counter), so padding cannot perturb any member's numbers — the same
-argument, one axis up, as PR 5's config-axis batching.
-
-**Phase 5 — per-member materialisation.**  Each member yields the
-exact ``RunResult`` (lazy instance log included) and meter/MSR
-:class:`~repro.execution.sweep_replay.MeterEndState` its per-run
-engine would produce on a fresh node.
-
-The contract is **bit-identical per member**: permuting the fleet,
-splitting it, or batching unrelated members together never changes any
-member's payload (property-tested in
+The contract is **bit-identical per member**: each result and meter/MSR
+end state equals the member's own fresh-node run, so permuting the
+fleet, splitting it, or batching unrelated members together never
+changes any member's payload (property-tested in
 ``tests/execution/test_fleet_replay_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro import config
-from repro.errors import WorkloadError
-from repro.execution.controlled_replay import (
-    control_noise_seeds,
-    flatten_control_schedule,
-    materialise_control_instances,
-)
-from repro.execution.sweep_replay import (
-    _COUNTER_MASK,
-    MeterEndState,
-    _charge_row,
-    _compile_structure,
-    _effective_frequency,
-    _evaluate_config,
-    _instance_producer,
-    _rapl_fold,
-    meter_end_state,
-)
+from repro.execution.simulator import ExecutionSimulator, OperatingPoint
+from repro.execution.sweep_replay import MeterEndState, meter_end_state, sweep_run
 from repro.hardware.node import ComputeNode
-from repro.hardware.power import NodeVariability, PowerModel
-from repro.hardware.rapl import RAPL_ENERGY_UNIT_J
+from repro.hardware.power import NodeVariability
 from repro.hardware.topology import NodeTopology
-from repro.util.rng import StreamPrefix, batched_lognormal
 
 
 @dataclass
@@ -129,412 +96,103 @@ class FleetReplay:
         return self.results[index]
 
 
-@dataclass
-class _MemberPlan:
-    """One member's compiled, pre-noise state."""
-
-    member: FleetMember
-    kind: str                         #: "uncontrolled" | "controlled" | "fallback"
-    threads: int = 0
-    num_sockets: int = 0
-    iterations: int = 0
-    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
-    # uncontrolled
-    structure: object = None
-    evaluated: object = None
-    # controlled
-    schedule: object = None
-    entry_point: object = None
-    final_core_ghz: float = 0.0
-    final_uncore_ghz: float = 0.0
-    # fallback (executed eagerly through the per-run engines)
-    result: object = None
-    end_state: MeterEndState | None = None
-    # post-noise flattened charge sequences
-    flat_durations: np.ndarray | None = None
-    flat_node_w: np.ndarray | None = None
-    flat_package_w: np.ndarray | None = None
-    flat_dram_w: np.ndarray | None = None
-    flat: object = None               #: FlatControlSchedule (controlled only)
+def _recipe(member: FleetMember) -> tuple:
+    """The key of the fresh node (and app build) a member runs on."""
+    return (
+        id(member.app),
+        member.instrumented,
+        id(member.instrumentation),
+        member.node_id,
+        member.node_seed,
+        id(member.topology),
+        id(member.variability),
+        member.seed,
+    )
 
 
-def _resolve_threads(member: FleetMember, topo: NodeTopology) -> int:
-    """The per-run engines' thread resolution, member-local."""
-    app = member.app
+def _static_point(member: FleetMember) -> OperatingPoint:
+    """The programmed point at the member's resolved thread count."""
+    point = member.point
     threads = member.threads
-    if threads is None and member.point is not None:
-        threads = member.point.threads
-    threads = threads or app.default_threads
-    if not app.model.supports_thread_tuning:
-        threads = app.default_threads
-    if not 1 <= threads <= topo.num_cores:
-        raise WorkloadError(f"invalid thread count: {threads}")
-    return threads
-
-
-def _member_seeds(
-    structure, iterations: int, node_id: int, run_key: tuple, seed: int
-) -> np.ndarray:
-    """The (work region x iteration) seed matrix of one structural run."""
-    seeds = np.empty((structure.num_work, iterations), dtype=np.uint64)
-    for row, slot in enumerate(structure.work_slots):
-        prefix = StreamPrefix(
-            "time", node_id, run_key, structure.regions[slot].name, seed=seed
+    if threads is None and point is not None:
+        threads = point.threads
+    threads = threads or member.app.default_threads
+    if point is None:
+        return OperatingPoint(
+            config.DEFAULT_CORE_FREQ_GHZ, config.DEFAULT_UNCORE_FREQ_GHZ, threads
         )
-        prefix.fill_iteration_seeds(seeds[row])
-    return seeds
+    if point.threads == threads:
+        return point
+    return OperatingPoint(point.core_freq_ghz, point.uncore_freq_ghz, threads)
 
 
-def _plan_member(member: FleetMember, structures: dict, models: dict) -> _MemberPlan:
-    """Compile one member: structure walk or controller schedule."""
-    from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-
-    app = member.app
-    instrumented = member.instrumented or member.instrumentation is not None
-    topo = member.topology or NodeTopology.default()
-    node_seed = member.seed if member.node_seed is None else member.node_seed
-    threads = _resolve_threads(member, topo)
-
-    controller = member.controller
-    if controller is not None:
-        # Controller-driven member: the schedule walk needs a live node
-        # (MSRs, DVFS/UFS logs, controller statistics all mutate exactly
-        # as in the per-run engine).
-        node = ComputeNode(
-            member.node_id,
-            seed=node_seed,
-            topology=member.topology,
-            variability=member.variability,
-        )
-        if member.point is not None:
-            node.set_frequencies(
-                member.point.core_freq_ghz, member.point.uncore_freq_ghz
-            )
-        entry_point = OperatingPoint(
-            core_freq_ghz=node.core_freq_ghz,
-            uncore_freq_ghz=node.uncore_freq_ghz,
-            threads=threads,
-        )
-        compile_schedule = getattr(controller, "compile_schedule", None)
-        schedule = None
-        if compile_schedule is not None:
-            schedule = compile_schedule(
-                app,
-                node,
-                threads=threads,
-                instrumented=instrumented,
-                instrumentation=member.instrumentation,
-            )
-        if schedule is None:
-            # The controller declined (or predates the protocol): run
-            # this member through the per-run engines on the very node
-            # we built — the walk left it untouched on decline.
-            result = ExecutionSimulator(node, seed=member.seed).run(
-                app,
-                threads=member.threads
-                if member.threads is not None
-                else (member.point.threads if member.point is not None else None),
-                controller=controller,
-                instrumented=member.instrumented,
-                instrumentation=member.instrumentation,
-                run_key=member.run_key,
-            )
-            return _MemberPlan(
-                member=member,
-                kind="fallback",
-                result=result,
-                end_state=meter_end_state(node),
-            )
-        plan = _MemberPlan(
-            member=member,
-            kind="controlled",
-            threads=threads,
-            num_sockets=topo.num_sockets,
-            iterations=schedule.iterations,
-            schedule=schedule,
-            entry_point=entry_point,
-            final_core_ghz=node.core_freq_ghz,
-            final_uncore_ghz=node.uncore_freq_ghz,
-        )
-        if schedule.num_work:
-            plan.seeds = control_noise_seeds(
-                schedule, member.node_id, member.run_key, member.seed
-            )
-        else:
-            plan.seeds = np.empty((0, schedule.iterations), dtype=np.uint64)
-        return plan
-
-    # Uncontrolled member: pure structural pricing, no node required.
-    filter_key = (
-        None
-        if member.instrumentation is None
-        else frozenset(member.instrumentation.filtered)
+def _run_controlled(member: FleetMember):
+    """One controller-driven member through the per-run engine."""
+    node = ComputeNode(
+        member.node_id,
+        seed=member.seed if member.node_seed is None else member.node_seed,
+        topology=member.topology,
+        variability=member.variability,
     )
-    skey = (id(app), instrumented, filter_key)
-    structure = structures.get(skey)
-    if structure is None:
-        structure = _compile_structure(app, instrumented, member.instrumentation)
-        structures[skey] = structure
-
-    mkey = (member.node_id, node_seed, topo, member.variability)
-    power_model = models.get(mkey)
-    if power_model is None:
-        power_model = PowerModel(
-            member.variability or NodeVariability.sample(member.node_id, seed=node_seed),
-            num_sockets=topo.num_sockets,
-            num_cores=topo.num_cores,
-        )
-        models[mkey] = power_model
-
+    threads = member.threads
     if member.point is not None:
-        core_ghz, uncore_ghz = member.point.core_freq_ghz, member.point.uncore_freq_ghz
-    else:
-        core_ghz = config.DEFAULT_CORE_FREQ_GHZ
-        uncore_ghz = config.DEFAULT_UNCORE_FREQ_GHZ
-    effective = OperatingPoint(
-        core_freq_ghz=_effective_frequency(
-            core_ghz, config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ, "core"
-        ),
-        uncore_freq_ghz=_effective_frequency(
-            uncore_ghz, config.UNCORE_FREQ_MIN_GHZ, config.UNCORE_FREQ_MAX_GHZ, "uncore"
-        ),
+        node.set_frequencies(member.point.core_freq_ghz, member.point.uncore_freq_ghz)
+        if threads is None:
+            threads = member.point.threads
+    result = ExecutionSimulator(node, seed=member.seed).run(
+        member.app,
         threads=threads,
+        controller=member.controller,
+        instrumented=member.instrumented,
+        instrumentation=member.instrumentation,
+        run_key=member.run_key,
     )
-    evaluated = _evaluate_config(structure, power_model, effective)
-    iterations = app.phase_iterations
-    plan = _MemberPlan(
-        member=member,
-        kind="uncontrolled",
-        threads=threads,
-        num_sockets=topo.num_sockets,
-        iterations=iterations,
-        structure=structure,
-        evaluated=evaluated,
-    )
-    if structure.num_work:
-        plan.seeds = _member_seeds(
-            structure, iterations, member.node_id, member.run_key, member.seed
-        )
-    else:
-        plan.seeds = np.empty((0, iterations), dtype=np.uint64)
-    return plan
-
-
-def _flatten_member(plan: _MemberPlan, noise: np.ndarray) -> np.ndarray | None:
-    """Flatten one member's charge sequence; returns its noisy body
-    durations (uncontrolled members) for instance materialisation."""
-    if plan.kind == "controlled":
-        flat = flatten_control_schedule(plan.schedule, noise)
-        plan.flat = flat
-        plan.flat_durations = flat.durations
-        plan.flat_node_w = flat.node_w
-        plan.flat_package_w = flat.package_w
-        plan.flat_dram_w = flat.dram_w
-        return None
-
-    structure, evaluated = plan.structure, plan.evaluated
-    iterations = plan.iterations
-    num_charges = len(structure.charges)
-    durations_work = evaluated.base_times[:, None] * noise
-    charge_matrix = np.empty((iterations, num_charges))
-    for c, (slot, is_probe) in enumerate(structure.charges):
-        if is_probe:
-            charge_matrix[:, c] = structure.probe_s[slot]
-        else:
-            charge_matrix[:, c] = durations_work[structure.work_index[slot], :]
-    plan.flat_durations = charge_matrix.reshape(iterations * num_charges)
-    plan.flat_node_w = np.tile(
-        _charge_row(structure, evaluated.node_w, evaluated.probe_node_w), iterations
-    )
-    plan.flat_package_w = np.tile(
-        _charge_row(structure, evaluated.package_w, evaluated.probe_package_w),
-        iterations,
-    )
-    plan.flat_dram_w = np.tile(
-        _charge_row(structure, evaluated.dram_w, evaluated.probe_dram_w), iterations
-    )
-    return durations_work
+    return result, meter_end_state(node)
 
 
 def fleet_run(members) -> FleetReplay:
-    """Price every fleet member in one batched pass.
+    """Price every fleet member: one sweep per recipe group, one
+    per-run replay per controlled member.
 
     Returns a :class:`FleetReplay` whose per-member results and end
     states are bit-identical to running each member individually
     through :class:`~repro.execution.simulator.ExecutionSimulator` on a
-    fresh node.
+    fresh node.  Uncontrolled results carry ``engine="fleet"``.
     """
-    from repro.execution.simulator import TIME_NOISE_SIGMA, InstanceLog, RunResult
+    members = tuple(members)
+    results: list = [None] * len(members)
+    end_states: list = [None] * len(members)
 
-    members = list(members)
-    if not members:
-        return FleetReplay()
-
-    structures: dict = {}
-    models: dict = {}
-    plans = [_plan_member(m, structures, models) for m in members]
-    priced = [p for p in plans if p.kind != "fallback"]
-
-    # -- one keyed-noise draw spanning the whole fleet ---------------------
-    # Each member's (work x iteration) seed matrix flattens row-major —
-    # the exact order its per-run engine would reshape — and per-seed
-    # independence makes the fleet-wide batch sliceable without drift.
-    sizes = [p.seeds.size for p in priced]
-    if any(sizes):
-        all_seeds = np.concatenate([p.seeds.reshape(-1) for p in priced])
-        all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
-    else:
-        all_noise = np.empty(0)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    durations_work_by_plan: list = []
-    for i, plan in enumerate(priced):
-        noise = all_noise[offsets[i]:offsets[i + 1]].reshape(plan.seeds.shape)
-        durations_work_by_plan.append(_flatten_member(plan, noise))
-
-    # -- zero-padded batch pricing -----------------------------------------
-    num = len(priced)
-    width = max((p.flat_durations.size for p in priced), default=0)
-    durations = np.zeros((num, width))
-    node_w = np.zeros((num, width))
-    package_w = np.zeros((num, width))
-    dram_w = np.zeros((num, width))
-    for i, plan in enumerate(priced):
-        n = plan.flat_durations.size
-        durations[i, :n] = plan.flat_durations
-        node_w[i, :n] = plan.flat_node_w
-        package_w[i, :n] = plan.flat_package_w
-        dram_w[i, :n] = plan.flat_dram_w
-
-    # Row-wise strict left folds: each row is the exact charge sequence
-    # the member's per-run engine prices, and trailing zero charges are
-    # exact no-ops in every fold below.
-    timeline = np.cumsum(
-        np.concatenate((np.zeros((num, 1)), durations), axis=1), axis=1
-    )
-    time_s = timeline[:, -1]
-    if width:
-        node_energy = np.add.accumulate(node_w * durations, axis=1)[:, -1]
-    else:
-        node_energy = np.zeros(num)
-
-    # RAPL end state + CPU energy (fresh accumulators; each socket sees
-    # the identical per-charge deposit, node totals sum socket by socket).
-    sockets_col = np.array([p.num_sockets for p in priced], dtype=float).reshape(-1, 1)
-    package_j = package_w * durations / sockets_col
-    dram_j = dram_w * durations / sockets_col
-    package_ticks, package_residual = _rapl_fold(package_j)
-    dram_ticks, dram_residual = _rapl_fold(dram_j)
-    unit = RAPL_ENERGY_UNIT_J
-    package_raw = package_ticks.astype(np.uint64) & np.uint64(_COUNTER_MASK)
-    dram_raw = dram_ticks.astype(np.uint64) & np.uint64(_COUNTER_MASK)
-    package_socket_j = package_raw.astype(np.float64) * unit
-    dram_socket_j = dram_raw.astype(np.float64) * unit
-    package_node_j = np.zeros(num)
-    dram_node_j = np.zeros(num)
-    socket_counts = np.array([p.num_sockets for p in priced])
-    for s in range(int(socket_counts.max(initial=0))):
-        live = socket_counts > s
-        package_node_j[live] = package_node_j[live] + package_socket_j[live]
-        dram_node_j[live] = dram_node_j[live] + dram_socket_j[live]
-    cpu_energy = package_node_j + dram_node_j
-
-    # -- per-member materialisation ----------------------------------------
-    results_by_plan: dict[int, tuple] = {}
-    for i, plan in enumerate(priced):
-        member = plan.member
-        raw_package = int(package_raw[i])
-        raw_dram = int(dram_raw[i])
-        rapl_package = tuple(
-            (raw_package, float(package_residual[i])) for _ in range(plan.num_sockets)
-        )
-        rapl_dram = tuple(
-            (raw_dram, float(dram_residual[i])) for _ in range(plan.num_sockets)
-        )
-        row = timeline[i]
-        if plan.kind == "controlled":
-            result = RunResult(
-                app_name=member.app.name,
-                node_id=member.node_id,
-                operating_point=plan.entry_point,
-                engine="fleet",
-            )
-            if plan.flat.durations.size:
-                result.node_energy_j = float(
-                    np.add.accumulate(plan.flat.node_w * plan.flat.durations)[-1]
-                )
-            if plan.flat.switches.size:
-                result.switching_time_s = float(
-                    np.add.accumulate(plan.flat.switches)[-1]
-                )
-            if plan.flat.probes.size:
-                result.instrumentation_time_s = float(
-                    np.add.accumulate(plan.flat.probes)[-1]
-                )
-            result.time_s = float(time_s[i])
-            result.cpu_energy_j = float(cpu_energy[i])
-            schedule, flat = plan.schedule, plan.flat
-            result.instances = InstanceLog.deferred(
-                lambda schedule=schedule, row=row, flat=flat: (
-                    materialise_control_instances(schedule, row, flat)
-                )
-            )
-            end_state = MeterEndState(
-                now_s=float(time_s[i]),
-                hdeem_now_s=float(time_s[i]),
-                core_freq_ghz=plan.final_core_ghz,
-                uncore_freq_ghz=plan.final_uncore_ghz,
-                rapl_package=rapl_package,
-                rapl_dram=rapl_dram,
-            )
+    groups: dict[tuple, list[int]] = {}
+    controlled: list[int] = []
+    for index, member in enumerate(members):
+        if member.controller is not None:
+            controlled.append(index)
         else:
-            structure, evaluated = plan.structure, plan.evaluated
-            num_charges = len(structure.charges)
-            probe_vector = structure.probe_per_iteration
-            instrumentation_time_s = (
-                float(np.add.accumulate(np.tile(probe_vector, plan.iterations))[-1])
-                if probe_vector.size
-                else 0.0
-            )
-            result = RunResult(
-                app_name=member.app.name,
-                node_id=member.node_id,
-                operating_point=evaluated.point,
-                time_s=float(time_s[i]),
-                node_energy_j=float(node_energy[i]) if num_charges else 0.0,
-                cpu_energy_j=float(cpu_energy[i]),
-                instrumentation_time_s=instrumentation_time_s,
-                engine="fleet",
-            )
-            result.instances = InstanceLog.deferred(
-                _instance_producer(
-                    structure,
-                    evaluated,
-                    durations_work_by_plan[i],
-                    row,
-                    plan.iterations,
-                )
-            )
-            end_state = MeterEndState(
-                now_s=float(time_s[i]),
-                hdeem_now_s=float(time_s[i]),
-                core_freq_ghz=evaluated.point.core_freq_ghz,
-                uncore_freq_ghz=evaluated.point.uncore_freq_ghz,
-                rapl_package=rapl_package,
-                rapl_dram=rapl_dram,
-            )
-        results_by_plan[id(plan)] = (result, end_state)
+            groups.setdefault(_recipe(member), []).append(index)
 
-    results = []
-    end_states = []
-    for plan in plans:
-        if plan.kind == "fallback":
-            results.append(plan.result)
-            end_states.append(plan.end_state)
-        else:
-            result, end_state = results_by_plan[id(plan)]
-            results.append(result)
-            end_states.append(end_state)
+    for indices in groups.values():
+        first = members[indices[0]]
+        sweep = sweep_run(
+            first.app,
+            [_static_point(members[i]) for i in indices],
+            run_keys=[members[i].run_key for i in indices],
+            node_id=first.node_id,
+            seed=first.seed,
+            node_seed=first.node_seed,
+            topology=first.topology,
+            variability=first.variability,
+            instrumented=first.instrumented,
+            instrumentation=first.instrumentation,
+        )
+        for i, result, end_state in zip(indices, sweep.results, sweep.end_states):
+            result.engine = "fleet"
+            results[i] = result
+            end_states[i] = end_state
+
+    for i in controlled:
+        results[i], end_states[i] = _run_controlled(members[i])
+
     return FleetReplay(
-        members=tuple(members), results=tuple(results), end_states=tuple(end_states)
+        members=members, results=tuple(results), end_states=tuple(end_states)
     )

@@ -6,11 +6,11 @@ stride, node_id, seed)``, see :meth:`repro.api.TuningRequest.grid_key`
 are evaluated *from* the grid, not measured into it.  The fleet replay
 kernel (:mod:`repro.execution.fleet_replay`) goes further: requests
 with *different* grid keys — different benchmarks, thread counts,
-nodes, seeds — can still share one batched kernel invocation, because
-every cell of every grid is just one fleet member.  The batcher
+nodes, seeds — can still share one batched measurement call, because
+no cell depends on its batch-mates.  The batcher
 therefore coalesces under a configurable key: ``coalesce="fleet"``
 (what the service uses) groups *all* pending requests together so N
-queued requests across M applications cost one fleet pass, while
+queued requests across M applications cost one measurement call, while
 ``coalesce="grid"`` preserves the historical per-grid-key grouping.  A
 group flushes when it reaches ``max_batch`` members or its
 ``max_wait_s`` admission window closes.
@@ -218,9 +218,9 @@ def answer_group(
 
     The group's *distinct* grid keys are deduplicated and their grids
     measured in a single :func:`repro.api.sweep_grids` invocation (one
-    fleet-kernel pass spanning every benchmark/thread/node/seed in the
-    group — or, under ``options.engine="loop"``, the per-cell
-    reference); each request's objective argmin — plus its TMM-priced
+    config-axis sweep per grid, or one fleet-strategy campaign run when
+    ``options.campaign`` is set — or, under ``options.engine="loop"``,
+    the per-cell reference); each request's objective argmin — plus its TMM-priced
     dynamic run, when it carries one — is then evaluated from its grid.
     Per request, the result is bit-identical to :func:`repro.api.tune`,
     which performs exactly this fold for a group of one.  Groups from a

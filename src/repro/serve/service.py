@@ -5,9 +5,10 @@
 :meth:`TuningService.handle`, and the throughput benchmark drives
 ``handle`` directly).  One request flows through four gates:
 
-1. **Admission** — parse and validate against the wire schema; while
-   draining, new work is refused with a ``draining`` error so clients
-   retry elsewhere.
+1. **Admission** — parse and validate against the wire schema and the
+   service's cluster (an out-of-range ``node_id`` is a ``bad-value``,
+   refused before it can join a group); while draining, new work is
+   refused with a ``draining`` error so clients retry elsewhere.
 2. **Dedup** — an *exact* duplicate of an in-flight request joins its
    future (zero extra work); a request whose grid rows are all in the
    result store is answered from the store without touching the
@@ -33,11 +34,11 @@
    Responses are bit-identical across both paths.
 
 Graceful drain (:meth:`drain`): stop admitting, flush every pending
-group immediately, and wait for in-flight work — bounded by the drain
-deadline: a group still *queued* (not yet started) when the deadline
-expires is cancelled and its waiters get a structured ``draining``
-error instead of hanging forever; groups already running always finish
-and answer normally.
+group immediately, cancel the idle admission-window timers, and wait
+for in-flight work — bounded by the drain deadline: a group still
+*queued* (not yet started) when the deadline expires is cancelled and
+its waiters get a structured ``draining`` error instead of hanging
+forever; groups already running always finish and answer normally.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from repro import api
 from repro.campaign.engine import (
@@ -58,7 +57,7 @@ from repro.campaign.engine import (
 from repro.campaign.plan import grid_jobs
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import ReproError, SchemaError, TuningError
+from repro.errors import JobError, ReproError, SchemaError, TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
@@ -187,6 +186,9 @@ class TuningService:
         self._draining = False
         self.drain_deadline_s = drain_deadline_s
         self._group_tasks: set[asyncio.Task] = set()
+        #: Admission-window timers, kept apart from the group tasks so
+        #: drain never waits one out.
+        self._window_timers: set[asyncio.Task] = set()
         #: Cancellation handles of dispatched groups (drain deadline).
         self._dispatches: set[pooling.GroupDispatch] = set()
         # Serial path: one worker thread, so the engine and store never
@@ -284,9 +286,14 @@ class TuningService:
             )
         try:
             request = parse_request(payload).resolved()
+            # An out-of-range node fails at admission, alone, instead of
+            # failing every request coalesced with it.
+            self.options.resolve_cluster(request.seed).check_node_id(
+                request.node_id
+            )
         except SchemaError as exc:
             return error_response("bad-request", str(exc))
-        except TuningError as exc:
+        except (TuningError, JobError) as exc:
             return error_response("bad-value", str(exc))
 
         # Exact in-flight duplicate: join its future.
@@ -365,23 +372,12 @@ class TuningService:
         # the execution path do it (the engine caches that job too).
         if request.tmm is not None:
             return None
-        shape = (len(cfs), len(ucfs))
-        grid = api.GridMeasurement(
-            benchmark=request.benchmark,
-            threads=request.threads,
-            node_id=request.node_id,
-            seed=request.seed,
-            core_frequencies=cfs,
-            uncore_frequencies=ucfs,
-            node_energy_j=np.array(
-                [e for p in payloads for e in p["node_energy_j"]]
-            ).reshape(shape),
-            cpu_energy_j=np.array(
-                [e for p in payloads for e in p["cpu_energy_j"]]
-            ).reshape(shape),
-            time_s=np.array(
-                [t for p in payloads for t in p["time_s"]]
-            ).reshape(shape),
+        grid = api.GridMeasurement.from_cells(
+            request.grid_spec(),
+            request.threads,
+            cfs,
+            ucfs,
+            api.GridMeasurement.payload_cells(payloads),
         )
         self.metrics.cached_hits += 1
         return ok_response(
@@ -398,9 +394,9 @@ class TuningService:
         if fire:
             self._fire(key)
         elif started:
-            task = loop.create_task(self._fire_later(key))
-            self._group_tasks.add(task)
-            task.add_done_callback(self._group_tasks.discard)
+            timer = loop.create_task(self._fire_later(key))
+            self._window_timers.add(timer)
+            timer.add_done_callback(self._window_timers.discard)
         return await asyncio.shield(entry.future)
 
     async def _fire_later(self, key: tuple) -> None:
@@ -450,7 +446,10 @@ class TuningService:
             answers = await asyncio.wrap_future(future)
         finally:
             self._serial_inflight -= 1
-        self._serial_groups += 1
+            # Failed groups were executed too; only a group the drain
+            # deadline cancelled before it started was not.
+            if not dispatch.cancelled:
+                self._serial_groups += 1
         return ("ok", [answer.payload() for answer in answers], None)
 
     async def _execute_group(self, group: batching.PendingGroup) -> None:
@@ -524,6 +523,10 @@ class TuningService:
             deadline_s = self.drain_deadline_s
         for group in self.batcher.drain():
             self._launch(group)
+        # Every pending group is flushed: the window timers have nothing
+        # left to fire.
+        for timer in list(self._window_timers):
+            timer.cancel()
         while self._group_tasks:
             done, pending = await asyncio.wait(
                 set(self._group_tasks), timeout=deadline_s

@@ -180,6 +180,47 @@ class TestFleetEquivalence:
         assert fleet.results[0] == ref
         assert fleet.end_states[0] == meter_end_state(node)
 
+    def test_one_sweep_per_recipe_group(self, monkeypatch):
+        """Uncontrolled members sharing a fresh-node recipe price in one
+        sweep_run call, however they interleave; controlled members
+        never reach the sweep kernel."""
+        from repro.execution import fleet_replay
+
+        calls = []
+        real = fleet_replay.sweep_run
+
+        def counting(app, points, **kwargs):
+            calls.append((app.name, kwargs["node_id"], len(points)))
+            return real(app, points, **kwargs)
+
+        monkeypatch.setattr(fleet_replay, "sweep_run", counting)
+        grid = [
+            OperatingPoint(cf, ucf, 24) for cf in (1.8, 2.2, 2.5) for ucf in (1.6, 2.2)
+        ]
+
+        def cell(app_name, point, node_id=0):
+            return FleetMember(
+                app=build_app(app_name),
+                run_key=("heatmap", point.core_freq_ghz, point.uncore_freq_ghz),
+                node_id=node_id,
+                point=point,
+            )
+
+        members = []
+        for point in grid:
+            members += [cell("Lulesh", point), cell("EP", point)]
+        members += [cell("Lulesh", grid[0], node_id=1)]
+        members += [build_member({"app": "Lulesh", "kind": "rrl"})]
+        fleet = fleet_run(members)
+        assert sorted(calls) == [("EP", 0, 6), ("Lulesh", 0, 6), ("Lulesh", 1, 1)]
+        for i, member in enumerate(members[:-1]):
+            assert_member_identical(fleet.results[i], fleet.end_states[i], member)
+        assert_member_identical(
+            fleet.results[-1],
+            fleet.end_states[-1],
+            build_member({"app": "Lulesh", "kind": "rrl"}),
+        )
+
     def test_empty_fleet(self):
         fleet = fleet_run([])
         assert len(fleet) == 0

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
 from repro.errors import CampaignError
-from repro.execution import fleet_replay
+from repro.execution import sweep_replay
 from repro.serve.batcher import FLEET_KEY, CoalescingBatcher, answer_group
 
 #: The request universe for the property: small grids (stride 7 keeps
@@ -137,27 +137,33 @@ class TestFleetCoalescing:
 
     def test_two_apps_one_fleet_invocation_bit_identical(self, monkeypatch):
         """The regression the fleet key exists for: two requests with
-        different benchmarks are priced by exactly one fleet-kernel
-        pass, and each answer is bit-identical to its solo answer."""
-        calls = []
-        real_fleet_run = fleet_replay.fleet_run
+        different benchmarks are measured by exactly one
+        ``sweep_grids`` call (one config-axis sweep per grid), and each
+        answer is bit-identical to its solo answer."""
+        grid_calls = []
+        sweep_cells = []
+        real_sweep_grids = api.sweep_grids
+        real_sweep_run = sweep_replay.sweep_run
 
-        def counting_fleet_run(members, **kwargs):
-            calls.append(len(members))
-            return real_fleet_run(members, **kwargs)
+        def counting_sweep_grids(specs, **kwargs):
+            grid_calls.append(len(specs))
+            return real_sweep_grids(specs, **kwargs)
 
-        monkeypatch.setattr(fleet_replay, "fleet_run", counting_fleet_run)
+        def counting_sweep_run(app, points, **kwargs):
+            sweep_cells.append(len(points))
+            return real_sweep_run(app, points, **kwargs)
+
+        monkeypatch.setattr(api, "sweep_grids", counting_sweep_grids)
+        monkeypatch.setattr(sweep_replay, "sweep_run", counting_sweep_run)
         requests = [
             api.TuningRequest("EP", stride=7).resolved(),
             api.TuningRequest("FT", stride=7).resolved(),
         ]
         answers = answer_group(list(requests))
-        assert len(calls) == 1
-        # every cell of both benchmarks' grids rode the one invocation
-        assert calls[0] == sum(
-            len(axis_cfs) * len(axis_ucfs)
-            for axis_cfs, axis_ucfs in [api.grid_axes(7)] * 2
-        )
+        assert grid_calls == [2]
+        # every cell of both benchmarks' grids was priced, one sweep each
+        cfs, ucfs = api.grid_axes(7)
+        assert sweep_cells == [len(cfs) * len(ucfs)] * 2
         monkeypatch.undo()
         for request, answer in zip(requests, answers):
             assert answer.payload() == api.tune(request).payload()

@@ -8,6 +8,7 @@ the throughput benchmark.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -136,19 +137,43 @@ class TestLifecycle:
         assert service.batcher.coalesced == 0
         assert service.batcher.groups_fired == 3
 
-    def test_schema_and_value_errors_map_to_codes(self):
+    @pytest.mark.parametrize(
+        "payload, code",
+        [
+            ({"benchmark": "EP"}, "bad-request"),
+            ({"version": WIRE_VERSION, "benchmark": "NoSuch"}, "bad-value"),
+            (dict(EP, node_id=7), "bad-value"),
+            (dict(EP, node_id=-1), "bad-value"),
+        ],
+        ids=["no-version", "benchmark", "node-id-past-cluster", "node-id-negative"],
+    )
+    def test_schema_and_value_errors_map_to_codes(self, payload, code):
         async def scenario():
             service = TuningService(max_wait_s=0.0)
-            bad_shape = await service.handle({"benchmark": "EP"})
-            bad_value = await service.handle(
-                {"version": WIRE_VERSION, "benchmark": "NoSuch"}
+            response = await service.handle(payload)
+            await service.aclose()
+            return service, response
+
+        service, response = run(scenario())
+        assert response["error"]["code"] == code
+        assert service.batcher.admitted == 0  # refused before coalescing
+
+    def test_bad_node_id_never_fails_its_window_mates(self):
+        async def scenario():
+            service = TuningService(max_batch=8, max_wait_s=0.05)
+            payloads = [dict(EP), dict(EP, node_id=7), dict(EP, objective="edp")]
+            responses = await asyncio.gather(
+                *(service.handle(p) for p in payloads)
             )
             await service.aclose()
-            return bad_shape, bad_value
+            return responses
 
-        bad_shape, bad_value = run(scenario())
-        assert bad_shape["error"]["code"] == "bad-request"
-        assert bad_value["error"]["code"] == "bad-value"
+        good, poison, edp = run(scenario())
+        assert poison["error"]["code"] == "bad-value"
+        assert good["result"] == api.tune(api.TuningRequest("EP", stride=7)).payload()
+        assert edp["result"] == api.tune(
+            api.TuningRequest("EP", stride=7, objective="edp")
+        ).payload()
 
     def test_unknown_admission_mode_rejected(self):
         with pytest.raises(SchemaError, match="admission"):
@@ -262,6 +287,46 @@ class TestFaultsAndDrain:
         # the persisted FailureRecord answered the duplicate; no re-run
         assert service.engine.total_executed == executed
         assert service.metrics.quarantined == 2
+
+    def test_failed_groups_count_as_executed(self, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            json.dumps(
+                [{"action": "raise", "mode": "grid", "app": "CG", "attempts": "all"}]
+            ),
+        )
+
+        async def scenario():
+            service = TuningService(store=ResultStore(), max_wait_s=0.0)
+            payload = {"version": WIRE_VERSION, "benchmark": "CG", "stride": 7}
+            first = await service.handle(payload)
+            second = await service.handle(dict(payload, seed=43))
+            metrics = service.metrics_payload()
+            await service.aclose()
+            return first, second, metrics
+
+        first, second, metrics = run(scenario())
+        assert first["status"] == second["status"] == "error"
+        assert metrics["groups_fired"] == 2
+        assert metrics["worker_pool"]["groups_executed"] == 2
+
+    def test_drain_does_not_wait_out_the_window(self):
+        async def scenario():
+            service = TuningService(max_batch=100, max_wait_s=60.0)
+            pending = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.02)
+            start = time.monotonic()
+            await service.drain()
+            elapsed = time.monotonic() - start
+            answered = await pending
+            timers = len(service._window_timers)
+            await service.aclose()
+            return answered, elapsed, timers
+
+        answered, elapsed, timers = run(scenario())
+        assert answered["status"] == "ok"
+        assert elapsed < 10.0  # execution time, not the 60 s window
+        assert timers == 0
 
     def test_drain_answers_pending_and_refuses_new(self):
         async def scenario():
