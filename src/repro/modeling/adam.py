@@ -18,6 +18,13 @@ class Adam:
     arrays have stable identity (layers write into preallocated
     buffers); :meth:`step` then needs no arguments and the per-update
     list rebuild disappears from the training loop.
+
+    The moments live in one flat float64 vector each: a step gathers the
+    gradients into a flat buffer, runs the update expressions once over
+    it and subtracts each parameter's slice back in place.  The
+    operations are elementwise, so the result is bit-identical to
+    updating every array on its own — only the per-array call overhead
+    is gone.
     """
 
     def __init__(
@@ -44,9 +51,23 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m = [np.zeros_like(p) for p in parameters]
-        self._v = [np.zeros_like(p) for p in parameters]
+        size = sum(p.size for p in parameters)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._g = np.empty(size)
+        self._update = np.empty(size)
+        self._g_parts = self._views(self._g)
+        self._update_parts = self._views(self._update)
         self._t = 0
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views into a flat buffer, shaped like the
+        parameters."""
+        views, start = [], 0
+        for p in self._params:
+            views.append(flat[start:start + p.size].reshape(p.shape))
+            start += p.size
+        return views
 
     def step(self, gradients: list[np.ndarray] | None = None) -> None:
         """Apply one update; gradients default to the bound buffers."""
@@ -58,18 +79,23 @@ class Adam:
             raise ModelError(
                 f"expected {len(self._params)} gradients, got {len(gradients)}"
             )
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self._params, gradients, self._m, self._v):
+        for p, g, part in zip(self._params, gradients, self._g_parts):
             if g.shape != p.shape:
                 raise ModelError(f"gradient shape {g.shape} != param {p.shape}")
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self._t)
-            v_hat = v / (1 - b2**self._t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            part[...] = g
+        self._t += 1
+        b1, b2 = self.beta1, self.beta2
+        g, m, v = self._g, self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**self._t)
+        v_hat = v / (1 - b2**self._t)
+        update = np.multiply(self.learning_rate, m_hat, out=self._update)
+        update /= np.sqrt(v_hat) + self.epsilon
+        for p, part in zip(self._params, self._update_parts):
+            p -= part
 
     @property
     def steps_taken(self) -> int:

@@ -23,12 +23,15 @@ All simulations run through the :mod:`repro.campaign` engine: one plan
 covering every (benchmark, threads) series is executed across the
 worker pool, and an attached :class:`~repro.campaign.store.ResultStore`
 lets repeated builds (benches, LOOCV retraining) reuse results instead
-of re-simulating.  Campaign execution is bit-identical to the serial
-per-run path these functions used before.  Each job itself executes
-through the simulator's vectorized replay fast path
-(:mod:`repro.execution.replay` — counter totals included), so dataset
-builds are an order of magnitude faster per uncached job while
-producing byte-identical stores.
+of re-simulating.  :func:`build_dataset` runs its plan with the
+campaign's batched ``fleet`` strategy: the energy sweep points are
+grouped into shards, and each shard is priced by one
+:func:`~repro.execution.sweep_replay.sweep_run` per fresh-node recipe
+instead of one simulation per point.  The counter measurements keep
+the per-job path through the vectorized replay
+(:mod:`repro.execution.replay`, counter totals included).  Both
+strategies write byte-identical store payloads under the same keys, so
+the dataset equals the serial per-run path's.
 """
 
 from __future__ import annotations
@@ -233,7 +236,6 @@ def build_dataset(
     thread_counts: tuple[int, ...] | None = None,
     seed: int = config.DEFAULT_SEED,
     engine: CampaignEngine | None = None,
-    fleet: bool = False,
 ) -> EnergyDataset:
     """Assemble the full training dataset for the given benchmarks.
 
@@ -242,9 +244,8 @@ def build_dataset(
     fixed configuration.  The whole campaign (counter measurements and
     energy sweeps for every series) is submitted to the engine as one
     plan, so uncached jobs fan out across the worker pool together.
-    ``fleet=True`` executes the plan's sweep rows through the batched
-    fleet-kernel strategy (counter jobs keep the per-job path); the
-    dataset is bit-identical either way.
+    The plan runs with the engine's ``fleet`` strategy: uncached sweep
+    jobs are priced in batched shards and counter jobs one by one.
     """
     if benchmarks is None:
         benchmarks = registry.benchmark_names()
@@ -261,7 +262,7 @@ def build_dataset(
     )
     if engine is None:
         engine = CampaignEngine(topology=cluster.topology)
-    results = engine.run(plan, fleet=fleet)
+    results = engine.run(plan, fleet=True)
 
     rows, targets, times, groups = [], [], [], []
     counter_rates: dict[tuple[str, int], np.ndarray] = {}

@@ -6,9 +6,10 @@
 ``handle`` directly).  One request flows through four gates:
 
 1. **Admission** — parse and validate against the wire schema and the
-   service's cluster (an out-of-range ``node_id`` is a ``bad-value``,
-   refused before it can join a group); while draining, new work is
-   refused with a ``draining`` error so clients retry elsewhere.
+   service's cluster (an out-of-range ``node_id`` or a malformed
+   ``tmm`` is a ``bad-value``, refused before it can join a group);
+   while draining, new work is refused with a ``draining`` error so
+   clients retry elsewhere.
 2. **Dedup** — an *exact* duplicate of an in-flight request joins its
    future (zero extra work); a request whose grid rows are all in the
    result store is answered from the store without touching the
@@ -57,8 +58,15 @@ from repro.campaign.engine import (
 from repro.campaign.plan import grid_jobs
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import JobError, ReproError, SchemaError, TuningError
+from repro.errors import (
+    JobError,
+    ReproError,
+    SchemaError,
+    TuningError,
+    TuningModelError,
+)
 from repro.execution.simulator import OperatingPoint
+from repro.readex.tuning_model import TuningModel
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
 from repro.serve.schema import error_response, ok_response, parse_request
@@ -291,9 +299,12 @@ class TuningService:
             self.options.resolve_cluster(request.seed).check_node_id(
                 request.node_id
             )
+            # So does a malformed tuning model.
+            if request.tmm is not None:
+                TuningModel.from_json(request.tmm)
         except SchemaError as exc:
             return error_response("bad-request", str(exc))
-        except (TuningError, JobError) as exc:
+        except (TuningError, JobError, TuningModelError) as exc:
             return error_response("bad-value", str(exc))
 
         # Exact in-flight duplicate: join its future.

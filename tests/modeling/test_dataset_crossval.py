@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from repro import config
+from repro.campaign import engine as campaign_engine
+from repro.campaign.engine import CampaignEngine
+from repro.campaign.plan import plan_dataset_campaign
+from repro.counters.papi import preset
 from repro.errors import ModelError
 from repro.hardware.cluster import Cluster
 from repro.modeling.crossval import kfold_indices, kfold_mape, leave_one_out_mape
@@ -49,12 +53,68 @@ class TestSweep:
 
 class TestDataset:
     def test_fleet_strategy_builds_bit_identical_dataset(self):
-        loop = build_dataset(("EP", "Mcb"), thread_counts=(24,))
-        fleet = build_dataset(("EP", "Mcb"), thread_counts=(24,), fleet=True)
-        assert fleet.features.tolist() == loop.features.tolist()
-        assert fleet.targets.tolist() == loop.targets.tolist()
-        assert fleet.times.tolist() == loop.times.tolist()
-        assert fleet.groups.tolist() == loop.groups.tolist()
+        """Both campaign strategies price every dataset job to the same
+        payload, and the dataset is the paper's rows assembled from the
+        per-job payloads."""
+        names = ("EP", "Mcb")
+        cluster = Cluster(4, seed=config.DEFAULT_SEED)
+        plan = plan_dataset_campaign(
+            names, thread_counts=(24,), node_seed=cluster.seed
+        )
+        loop = CampaignEngine(max_workers=0, topology=cluster.topology).run(plan)
+        fleet = CampaignEngine(max_workers=0, topology=cluster.topology).run(
+            plan, fleet=True
+        )
+        for job in plan:
+            assert fleet[job] == loop[job]
+
+        canonical = [preset(c).name for c in FEATURE_COUNTERS]
+        calibration = (
+            config.CALIBRATION_CORE_FREQ_GHZ,
+            config.CALIBRATION_UNCORE_FREQ_GHZ,
+        )
+        rows, targets, times, groups = [], [], [], []
+        for name in names:
+            counters = [j for j in plan if j.app == name and j.mode == "counters"]
+            sweep = [j for j in plan if j.app == name and j.mode == "sweep"]
+            phase_time = sum(loop[j]["phase_time_s"] for j in counters)
+            rates = [
+                sum(loop[j]["totals"][c] for j in counters) / phase_time
+                for c in canonical
+            ]
+            (cal,) = [
+                j for j in sweep
+                if (j.core_freq_ghz, j.uncore_freq_ghz) == calibration
+            ]
+            for j in sweep:
+                rows.append(rates + [j.core_freq_ghz, j.uncore_freq_ghz])
+                targets.append(loop[j]["node_energy_j"] / loop[cal]["node_energy_j"])
+                times.append(loop[j]["time_s"] / loop[cal]["time_s"])
+                groups.append(name)
+
+        data = build_dataset(names, thread_counts=(24,))
+        assert data.features.tolist() == rows
+        assert data.targets.tolist() == targets
+        assert data.times.tolist() == times
+        assert data.groups.tolist() == groups
+
+    def test_only_counter_jobs_run_one_by_one(self, monkeypatch):
+        """The energy sweeps are priced in fleet shards: the per-job
+        path sees nothing but the counter measurements."""
+        modes = []
+        execute_job = campaign_engine.execute_job
+
+        def counting(job, topology):
+            modes.append(job.mode)
+            return execute_job(job, topology)
+
+        monkeypatch.setattr(campaign_engine, "execute_job", counting)
+        build_dataset(
+            ("EP", "Mcb"), thread_counts=(24,),
+            engine=CampaignEngine(max_workers=0),
+        )
+        plan = plan_dataset_campaign(("EP", "Mcb"), thread_counts=(24,))
+        assert modes == [j.mode for j in plan if j.mode == "counters"]
 
     def test_feature_layout(self, small_dataset):
         assert small_dataset.features.shape[1] == len(FEATURE_COUNTERS) + 2

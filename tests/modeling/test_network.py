@@ -110,6 +110,37 @@ class TestAdam:
         with pytest.raises(ModelError):
             opt.step([np.zeros(2), np.zeros(2)])
 
+    def test_gradient_shape_mismatch_rejected(self):
+        opt = Adam([np.zeros(2), np.zeros((2, 2))])
+        with pytest.raises(ModelError):
+            opt.step([np.zeros(2), np.zeros(4)])
+
+    def test_flat_update_matches_per_array_update(self):
+        """One flat moment vector updates every parameter to the same
+        bits as the textbook loop over the arrays one by one."""
+        net = EnergyNetwork(seed=3)
+        params = [p.copy() for p in net.parameters]
+        reference = [p.copy() for p in net.parameters]
+        m = [np.zeros_like(p) for p in reference]
+        v = [np.zeros_like(p) for p in reference]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        rng = np.random.default_rng(11)
+        for t in range(1, 301):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            opt.step(grads)
+            for p, g, mi, vi in zip(reference, grads, m, v):
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * g * g
+                m_hat = mi / (1 - b1**t)
+                v_hat = vi / (1 - b2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, expected in zip(params, reference):
+                assert np.array_equal(got, expected)
+        assert opt.steps_taken == 300
+
 
 class TestAllocationFreeUpdates:
     """The preallocated-gradient path (Dense buffers + bound Adam) must

@@ -144,8 +144,17 @@ class TestLifecycle:
             ({"version": WIRE_VERSION, "benchmark": "NoSuch"}, "bad-value"),
             (dict(EP, node_id=7), "bad-value"),
             (dict(EP, node_id=-1), "bad-value"),
+            (dict(EP, tmm="{not json"), "bad-value"),
+            (dict(EP, tmm='{"scenarios": []}'), "bad-value"),
         ],
-        ids=["no-version", "benchmark", "node-id-past-cluster", "node-id-negative"],
+        ids=[
+            "no-version",
+            "benchmark",
+            "node-id-past-cluster",
+            "node-id-negative",
+            "tmm-not-json",
+            "tmm-missing-fields",
+        ],
     )
     def test_schema_and_value_errors_map_to_codes(self, payload, code):
         async def scenario():
