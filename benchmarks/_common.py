@@ -12,7 +12,7 @@ computation belonging to each table/figure is measured.
 The store lives under ``benchmarks/.cache/`` by default; set
 ``REPRO_BENCH_CACHE_DIR`` to relocate it (tests use a temp dir),
 ``REPRO_BENCH_CACHE_BACKEND`` to pick the store backend
-(``jsonl``/``sqlite``/``segment``; default: an existing legacy JSONL
+(``jsonl``/``sqlite``; default: an existing legacy JSONL
 store is kept, fresh caches use indexed SQLite) or
 ``REPRO_CAMPAIGN_WORKERS`` to size the worker pool.  Cold-cache
 sessions additionally benefit from the simulator's vectorized replay
@@ -65,14 +65,13 @@ DEPLOYED_EPOCHS = 10
 #: Environment override for the on-disk campaign store location.
 CACHE_DIR_ENV = "REPRO_BENCH_CACHE_DIR"
 
-#: Environment override for the store backend (jsonl/sqlite/segment).
+#: Environment override for the store backend (jsonl/sqlite).
 CACHE_BACKEND_ENV = "REPRO_BENCH_CACHE_BACKEND"
 
-#: Store filename per backend (the segment backend is a directory).
+#: Store filename per backend.
 _STORE_NAMES = {
     "jsonl": "campaign-store.jsonl",
     "sqlite": "campaign-store.sqlite",
-    "segment": "campaign-store",
 }
 
 
@@ -109,8 +108,8 @@ def store_path() -> Path:
 def campaign_engine() -> CampaignEngine:
     """The harness-wide engine: worker pool + persistent result store.
 
-    The store is closed at interpreter exit so index sidecars/handles
-    never dangle (`ResultStore` is also a context manager; the harness
+    The store is closed at interpreter exit so database handles never
+    dangle (`ResultStore` is also a context manager; the harness
     keeps one open per session instead).
     """
     store = ResultStore(

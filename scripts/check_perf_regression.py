@@ -38,8 +38,6 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "store_scale": (
         "backends.sqlite.recall_speedup",
         "backends.sqlite.cold_open_speedup",
-        "backends.segment.recall_speedup",
-        "backends.segment.cold_open_speedup",
     ),
     "serving_throughput": ("aggregate.speedup",),
     # serving_scaling gates core-normalised parallel efficiency, not the

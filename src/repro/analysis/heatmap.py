@@ -10,15 +10,14 @@ Measuring the 14 x 18 grid is the textbook workload of the simulator's
 default ``engine="sweep"`` replays all 252 configurations in one pass,
 bit-identical to (and several times faster than) the historical
 ``engine="loop"`` that builds a fresh node and runs one configuration at
-a time.  Passing a :class:`~repro.campaign.engine.CampaignEngine` routes
-the sweep through ``grid``-mode campaign jobs instead, making grid rows
-cacheable, parallelisable units in the result store.
+a time.  Attaching a :class:`~repro.campaign.engine.CampaignEngine`
+routes the sweep through ``grid``-mode campaign jobs instead, making
+grid rows cacheable, parallelisable units in the result store.
 
 The measurement itself lives in :func:`repro.api.sweep_grid`; this
 module adds the figures' normalization and plateau analysis on top.
 Execution choices arrive as a :class:`repro.api.ExecutionOptions`
-(``options=``); the historical ``engine=`` / ``campaign=`` keywords
-remain as deprecated shims.
+(``options=``).
 """
 
 from __future__ import annotations
@@ -28,16 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import api, config
-from repro.errors import CampaignError
 from repro.hardware.cluster import Cluster
 from repro.util.validation import frequency_index
 
 #: The paper highlights configurations within 2% of the minimum in pink.
 PLATEAU_THRESHOLD = 0.02
-
-#: Grid-measurement engines: the one-pass sweep replay and the
-#: historical one-configuration-at-a-time reference loop.
-ENGINES = ("sweep", "loop")
 
 
 @dataclass
@@ -92,8 +86,6 @@ def energy_heatmap(
     node_id: int = 0,
     selected: tuple[float, float] | None = None,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
-    campaign=None,
     options: api.ExecutionOptions | None = None,
 ) -> EnergyHeatmap:
     """Measure the full grid for one benchmark at a fixed thread count.
@@ -102,20 +94,9 @@ def energy_heatmap(
     one-pass replay — the default — or ``"loop"``, the per-cell
     reference; both bit-identical) and may attach a campaign engine
     (implies ``"sweep"`` physics) to execute the grid as per-row jobs
-    with store caching and worker parallelism.  The ``engine=`` /
-    ``campaign=`` keywords are deprecated spellings of the same
-    choices.
+    with store caching and worker parallelism.
     """
-    if engine is not None and engine not in ENGINES:
-        raise CampaignError(
-            f"unknown heatmap engine: {engine!r}; known: {ENGINES}"
-        )
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.heatmap.energy_heatmap",
-        engine=engine,
-        campaign=campaign,
-    )
+    opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
     grid = api.sweep_grid(

@@ -188,8 +188,6 @@ def compare_static_dynamic(
     node_id: int = 0,
     runs: int = 5,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
-    campaign=None,
     options: api.ExecutionOptions | None = None,
 ) -> BenchmarkSavings:
     """Produce one Table VI row for ``benchmark``.
@@ -201,17 +199,9 @@ def compare_static_dynamic(
     as ``savings``-mode campaign jobs — cached in the engine's result
     store and parallelisable — again bit-identical to the in-process
     loop; ``engine`` must stay ``"auto"`` in that case because cached
-    payloads carry no engine choice.  The bare ``engine=`` /
-    ``campaign=`` keywords are the deprecated spellings.
+    payloads carry no engine choice.
     """
-    if engine is not None:
-        validate_engine(engine)
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.savings.compare_static_dynamic",
-        engine=engine,
-        campaign=campaign,
-    )
+    opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
     validate_engine(opts.engine)
@@ -390,10 +380,7 @@ def compare_static_dynamic_many(
     ``compare_static_dynamic`` call.  Without a campaign engine the
     cases simply run one at a time.
     """
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.savings.compare_static_dynamic_many",
-    )
+    opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
     validate_engine(opts.engine)

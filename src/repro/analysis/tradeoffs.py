@@ -44,7 +44,6 @@ def energy_time_tradeoff(
     cluster: Cluster | None = None,
     node_id: int = 0,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
     options: api.ExecutionOptions | None = None,
 ) -> list[TradeoffPoint]:
     """Evaluate configurations relative to the platform default.
@@ -52,18 +51,9 @@ def energy_time_tradeoff(
     ``options.engine`` selects the measurement path: ``"sweep"`` (the
     default) replays the whole configuration set in one pass;
     ``"loop"`` runs the per-configuration reference.  Both return
-    bit-identical points.  The bare ``engine=`` keyword is the
-    deprecated spelling.
+    bit-identical points.
     """
-    if engine is not None and engine not in ("sweep", "loop"):
-        raise CampaignError(
-            f"unknown tradeoff engine: {engine!r}; known: ('sweep', 'loop')"
-        )
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.tradeoffs.energy_time_tradeoff",
-        engine=engine,
-    )
+    opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
     if opts.campaign is not None:

@@ -1,15 +1,14 @@
 """The public tuning API — one typed facade over the whole pipeline.
 
 Every consumer that used to reach into :mod:`repro.analysis`,
-:mod:`repro.ptf` or :mod:`repro.execution` directly — with their
-historically inconsistent ``engine=`` / ``campaign=`` / ``measurement=``
-keyword spellings — goes through this module instead:
+:mod:`repro.ptf` or :mod:`repro.execution` directly goes through this
+module instead:
 
 :class:`ExecutionOptions`
     The one normalized description of *how* to execute: which engine
     variant, whether a :class:`~repro.campaign.engine.CampaignEngine`
     (worker pool + content-addressed result store) backs the runs, and
-    how full-grid measurements are addressed in the store.
+    which simulated cluster they run on.
 
 :class:`TuningRequest` / :func:`tune`
     The paper's end product as a callable: "for (benchmark, threads,
@@ -31,18 +30,15 @@ keyword spellings — goes through this module instead:
     One-configuration execution and the Table VI static/dynamic
     comparison, with the same options object.
 
-Old keyword spellings on the rewired call sites
-(:func:`repro.analysis.heatmap.energy_heatmap`,
+The analysis entry points (:func:`repro.analysis.heatmap.energy_heatmap`,
 :func:`repro.analysis.tradeoffs.energy_time_tradeoff`,
 :func:`repro.analysis.savings.compare_static_dynamic`,
-:func:`repro.ptf.static_tuning.exhaustive_static_search`) keep working
-through thin shims that warn once per call site and fold the value into
-an :class:`ExecutionOptions`.
+:func:`repro.ptf.static_tuning.exhaustive_static_search`) take the same
+``options=`` object.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -61,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ENGINES",
-    "MEASUREMENTS",
     "ExecutionOptions",
     "GridMeasurement",
     "GridSpec",
@@ -70,7 +65,6 @@ __all__ = [
     "TuningRequest",
     "RunTriple",
     "grid_axes",
-    "resolve_options",
     "sweep_grid",
     "sweep_grids",
     "tune",
@@ -84,9 +78,6 @@ __all__ = [
 #: ``sweep``/``loop`` for grid measurements, ``recursive``/``replay``
 #: for single-run execution.
 ENGINES: tuple[str, ...] = ("auto", "sweep", "loop", "recursive", "replay")
-
-#: Store-addressing granularities for exhaustive grid measurements.
-MEASUREMENTS: tuple[str, ...] = ("grid", "cell")
 
 #: Definitive-failure policies (mirrors
 #: :data:`repro.campaign.resilience.ON_FAILURE_POLICIES`).
@@ -107,17 +98,14 @@ class ExecutionOptions:
 
     ``engine`` picks the execution kernel (see :data:`ENGINES`);
     ``campaign`` attaches a worker pool + content-addressed result
-    store so measurements cache and parallelise; ``measurement`` picks
-    the store addressing of exhaustive grids (``"grid"`` rows through
-    the sweep engine, ``"cell"`` the historical one-job-per-cell plan);
-    ``cluster`` supplies the simulated hardware (one is built from the
-    seed when omitted).  All execution paths are bit-identical — these
-    options trade speed and caching, never results.
+    store so measurements cache and parallelise; ``cluster`` supplies
+    the simulated hardware (one is built from the seed when omitted).
+    All execution paths are bit-identical — these options trade speed
+    and caching, never results.
     """
 
     engine: str = "auto"
     campaign: "CampaignEngine | None" = None
-    measurement: str = "grid"
     cluster: "Cluster | None" = None
     #: Campaign-backed runs only: what a definitive job failure does
     #: (PR-7 semantics — ``raise``/``quarantine``/``skip``) and whether
@@ -129,11 +117,6 @@ class ExecutionOptions:
         if self.engine not in ENGINES:
             raise CampaignError(
                 f"unknown engine: {self.engine!r}; known: {ENGINES}"
-            )
-        if self.measurement not in MEASUREMENTS:
-            raise CampaignError(
-                f"unknown measurement: {self.measurement!r}; "
-                f"known: {MEASUREMENTS}"
             )
         if self.on_failure not in ON_FAILURE:
             raise CampaignError(
@@ -169,63 +152,6 @@ class ExecutionOptions:
             f"engine {self.engine!r} does not execute single runs; "
             "use 'auto', 'recursive' or 'replay'"
         )
-
-
-# ---------------------------------------------------------------------------
-# Legacy-kwarg normalization (the deprecation shims)
-# ---------------------------------------------------------------------------
-
-_WARNED_SITES: set[str] = set()
-
-
-def _warn_legacy(site: str, kwargs: list[str]) -> None:
-    if site in _WARNED_SITES:
-        return
-    _WARNED_SITES.add(site)
-    listed = ", ".join(f"{k}=" for k in kwargs)
-    warnings.warn(
-        f"{site}: the {listed} keyword(s) are deprecated; pass "
-        "options=repro.api.ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_options(
-    options: ExecutionOptions | None,
-    *,
-    site: str,
-    engine: str | None = None,
-    campaign: "CampaignEngine | None" = None,
-    measurement: str | None = None,
-) -> ExecutionOptions:
-    """Fold legacy keyword spellings into one :class:`ExecutionOptions`.
-
-    Rewired call sites pass their historical ``engine=`` / ``campaign=``
-    / ``measurement=`` values here (``None`` when the caller did not use
-    them).  Any non-``None`` legacy value triggers a once-per-site
-    :class:`DeprecationWarning`; mixing legacy keywords with an explicit
-    ``options=`` is an error — there would be two sources of truth.
-    """
-    legacy = {
-        "engine": engine,
-        "campaign": campaign,
-        "measurement": measurement,
-    }
-    used = [name for name, value in legacy.items() if value is not None]
-    if not used:
-        return options if options is not None else ExecutionOptions()
-    if options is not None:
-        raise CampaignError(
-            f"{site}: pass either options= or the deprecated "
-            f"{'/'.join(used)} keyword(s), not both"
-        )
-    _warn_legacy(site, used)
-    return ExecutionOptions(
-        engine=engine if engine is not None else "auto",
-        campaign=campaign,
-        measurement=measurement if measurement is not None else "grid",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +695,8 @@ def replay(
 
     The run carries the canonical ``("static", cf, ucf, threads)``
     noise key, so it is bit-identical to (and cache-compatible with)
-    the exhaustive static search's per-cell jobs.
+    the per-cell ``static`` campaign jobs of
+    :func:`repro.campaign.plan.static_jobs`.
     """
     options = options if options is not None else ExecutionOptions()
     point = point if point is not None else OperatingPoint()

@@ -16,9 +16,8 @@ into three orthogonal pieces:
     point, node, seeds, mode), so repeated benches and LOOCV retraining
     hit the cache instead of re-simulating.  Storage is pluggable
     (:mod:`repro.campaign.backends`): the compatibility JSON-lines
-    file, an indexed SQLite database (WAL, concurrent multi-process
-    writers), or sharded segment files with sidecar offset indexes —
-    auto-detected from the store path, convertible with
+    file or an indexed SQLite database (WAL, concurrent multi-process
+    writers) — auto-detected from the store path, convertible with
     :func:`migrate_store`.
 :mod:`repro.campaign.engine`
     The executor (:class:`CampaignEngine`): runs the uncached jobs of a

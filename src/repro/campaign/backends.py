@@ -3,7 +3,7 @@
 The :class:`~repro.campaign.store.ResultStore` front end owns the
 *semantics* of the cache — content-addressed keys, schema-version
 checking, put-heals-stale, last-wins — while a backend owns the *bytes*.
-Three on-disk layouts (plus an in-memory one) implement the same record
+Two on-disk layouts (plus an in-memory one) implement the same record
 contract:
 
 ``jsonl``
@@ -15,13 +15,6 @@ contract:
     primary key.  Opens in constant time, answers ``get`` through the
     index, and takes concurrent multi-process writers (healing is a
     single upsert+delete transaction per put).
-``segment``
-    A directory of N append-only segment files, records bucketed by key
-    prefix, each segment carrying a sidecar offset index
-    (``seg-K.idx.json``).  Segments load lazily — a ``get`` touches one
-    sidecar and one line of one file — and sidecars are advisory: a
-    missing, garbled or out-of-date sidecar is healed by rescanning the
-    segment, so crashed writers never lose committed lines.
 
 Every backend stores whole *records* — ``{"key", "store_version",
 "job", "result"}`` dicts, serialised as sorted-key JSON — and exposes
@@ -31,17 +24,17 @@ servable).  Damaged bytes load as misses, never as crashes;
 :meth:`verify` reports exactly what is damaged.
 
 Backend selection is automatic from the store path (see
-:func:`detect_backend_kind`): ``*.jsonl`` → jsonl, ``*.sqlite``/``*.db``
-→ sqlite, a directory or suffix-less path → segment.
+:func:`detect_backend_kind`): ``*.sqlite``/``*.db`` → sqlite,
+``*.jsonl`` → jsonl, an existing file with another suffix is sniffed by
+magic bytes.  A directory is refused: it is a store of the retired
+segment backend, which ``repro-campaign store migrate`` converts.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sqlite3
-import zlib
 from pathlib import Path
 from typing import Any, Iterator, Protocol
 
@@ -53,18 +46,11 @@ from repro.errors import CampaignError
 STORE_VERSION = 2
 
 #: Backend names accepted by :func:`open_backend` and the CLI.
-BACKEND_KINDS: tuple[str, ...] = ("jsonl", "sqlite", "segment")
+BACKEND_KINDS: tuple[str, ...] = ("jsonl", "sqlite")
 
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 _SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
 _JSONL_SUFFIXES = {".jsonl", ".json", ".ndjson"}
-
-#: Segment-backend layout: bucket count, file naming, manifest.
-DEFAULT_SEGMENTS = 16
-MANIFEST_NAME = "segment-store.json"
-MANIFEST_FORMAT = "repro-segment-store"
-_SEGMENT_FILE_RE = re.compile(r"^seg-(\d+)\.jsonl$")
-_SEGMENT_SIDECAR_RE = re.compile(r"^seg-(\d+)\.idx\.json$")
 
 
 def _tail_missing_newline(path: Path) -> bool:
@@ -640,508 +626,39 @@ class SqliteBackend:
 
 
 # ---------------------------------------------------------------------------
-# Sharded segment backend (key-prefix buckets + sidecar offset indexes)
-# ---------------------------------------------------------------------------
-
-class _Segment:
-    """In-memory index of one segment file.
-
-    ``entries`` maps key → (byte offset of the effective line, schema
-    version); ``indexed_size`` is the byte prefix of the file the
-    entries provably cover (everything beyond it gets tail-scanned).
-    """
-
-    __slots__ = ("entries", "indexed_size", "dirty")
-
-    def __init__(self) -> None:
-        self.entries: dict[str, tuple[int, Any]] = {}
-        self.indexed_size = 0
-        self.dirty = False
-
-
-class SegmentBackend:
-    """Records sharded by key prefix into N append-only segment files.
-
-    A lookup loads one segment's sidecar index (lazily, on first touch
-    of that bucket) and reads one line at its recorded offset — cold
-    opens never scan the whole store.  Sidecars are advisory: each
-    records the byte prefix of its segment it covers, so lines appended
-    after the last sidecar write (crashed or concurrent writers) are
-    recovered by scanning only the tail.  A garbled or missing sidecar
-    triggers a full rescan of that segment — committed lines are never
-    lost.  Offsets are validated on read (the stored line must carry
-    the requested key) and heal through a rescan, which makes
-    concurrent multi-process appends safe.
-    """
-
-    kind = "segment"
-    supports_concurrent_writers = True
-
-    def __init__(self, path: str | Path, *, segments: int = DEFAULT_SEGMENTS):
-        self.path = Path(path)
-        self._segments: dict[int, _Segment] = {}
-        self.segments = self._resolve_segment_count(segments)
-
-    # -- layout --------------------------------------------------------
-    def _resolve_segment_count(self, default: int) -> int:
-        """The bucket modulus, recovered in order of trustworthiness.
-
-        The manifest is authoritative; every index sidecar carries a
-        redundant copy (so a garbled manifest costs nothing as long as
-        one sidecar survives); failing both, the count is inferred from
-        the segment file names — an under-estimate when high buckets
-        happen to be empty, in which case lookups in the mis-mapped
-        buckets degrade to misses and ``verify`` flags the manifest.
-        """
-        manifest = self.path / MANIFEST_NAME
-        try:
-            data = json.loads(manifest.read_text())
-            count = int(data["segments"])
-            if count > 0:
-                return count
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        if self.path.is_dir():
-            for entry in sorted(os.listdir(self.path)):
-                if not _SEGMENT_SIDECAR_RE.match(entry):
-                    continue
-                try:
-                    count = int(json.loads((self.path / entry).read_text())["segments"])
-                    if count > 0:
-                        return count
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue
-            found = [
-                int(m.group(1))
-                for entry in os.listdir(self.path)
-                if (m := _SEGMENT_FILE_RE.match(entry))
-            ]
-            if found:
-                return max(found) + 1
-        return default
-
-    def _ensure_layout(self) -> None:
-        self.path.mkdir(parents=True, exist_ok=True)
-        manifest = self.path / MANIFEST_NAME
-        if not manifest.exists():
-            _atomic_write(
-                manifest,
-                json.dumps(
-                    {"format": MANIFEST_FORMAT, "segments": self.segments}
-                )
-                + "\n",
-            )
-
-    def _bucket(self, key: str) -> int:
-        try:
-            return int(key[:8], 16) % self.segments
-        except ValueError:  # non-hex key (foreign data): still deterministic
-            return zlib.crc32(key.encode("utf-8")) % self.segments
-
-    def _file(self, index: int) -> Path:
-        return self.path / f"seg-{index}.jsonl"
-
-    def _sidecar(self, index: int) -> Path:
-        return self.path / f"seg-{index}.idx.json"
-
-    # -- segment loading -----------------------------------------------
-    def _segment(self, index: int) -> _Segment:
-        segment = self._segments.get(index)
-        if segment is None:
-            segment = self._load_segment(index)
-            self._segments[index] = segment
-        return segment
-
-    def _load_segment(self, index: int) -> _Segment:
-        segment = _Segment()
-        file = self._file(index)
-        if not file.exists():
-            return segment
-        size = file.stat().st_size
-        start = 0
-        try:
-            data = json.loads(self._sidecar(index).read_text())
-            entries = data["entries"]
-            indexed = int(data["size"])
-            if isinstance(entries, dict) and 0 <= indexed <= size:
-                segment.entries = {
-                    key: (int(value[0]), value[1])
-                    for key, value in entries.items()
-                }
-                start = indexed
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
-            pass  # missing/garbled sidecar: rescan the whole segment
-        self._scan_segment(file, segment, start)
-        return segment
-
-    def _scan_segment(
-        self, file: Path, segment: _Segment, start: int, end: int | None = None
-    ) -> None:
-        """Index lines in ``[start, end)`` (to EOF when ``end`` is None)."""
-        with file.open("rb") as fh:
-            fh.seek(start)
-            offset = start
-            for raw in fh:
-                if end is not None and offset >= end:
-                    break
-                line_offset = offset
-                offset += len(raw)
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                except ValueError:
-                    continue  # torn line: a miss, healed by the next put
-                if record_is_wellformed(record):
-                    segment.entries[record["key"]] = (
-                        line_offset,
-                        record.get("store_version"),
-                    )
-        segment.indexed_size = max(segment.indexed_size, offset)
-        segment.dirty = True
-
-    def _reload(self, index: int) -> _Segment:
-        self._segments.pop(index, None)
-        segment = _Segment()
-        file = self._file(index)
-        if file.exists():
-            self._scan_segment(file, segment, 0)
-        self._segments[index] = segment
-        return segment
-
-    # -- record contract -----------------------------------------------
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        index = self._bucket(key)
-        segment = self._segment(index)
-        record = self._get_from(segment, index, key)
-        if record is not None:
-            return record
-        if key in segment.entries:
-            # The offset lied (concurrent writer or external compaction
-            # moved the line): rebuild this segment's index and retry.
-            segment = self._reload(index)
-            return self._get_from(segment, index, key)
-        return None
-
-    def _get_from(
-        self, segment: _Segment, index: int, key: str
-    ) -> dict[str, Any] | None:
-        entry = segment.entries.get(key)
-        if entry is None:
-            return None
-        record = self._read_line(self._file(index), entry[0])
-        if record is not None and record.get("key") == key:
-            return record
-        return None
-
-    @staticmethod
-    def _read_line(file: Path, offset: int) -> dict[str, Any] | None:
-        try:
-            with file.open("rb") as fh:
-                fh.seek(offset)
-                raw = fh.readline()
-            record = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        return record if record_is_wellformed(record) else None
-
-    def put_record(self, record: dict[str, Any]) -> None:
-        self._ensure_layout()
-        self._append(self._bucket(record["key"]), [record])
-
-    def put_records(self, records: list[dict[str, Any]]) -> None:
-        self._ensure_layout()
-        by_bucket: dict[int, list[dict[str, Any]]] = {}
-        for record in records:
-            by_bucket.setdefault(self._bucket(record["key"]), []).append(record)
-        for index, bucket_records in by_bucket.items():
-            self._append(index, bucket_records)
-
-    def _append(self, index: int, records: list[dict[str, Any]]) -> None:
-        segment = self._segment(index)
-        file = self._file(index)
-        encoded = [
-            (encode_record(record) + "\n").encode("utf-8") for record in records
-        ]
-        payload = b"".join(encoded)
-        needs_separator = _tail_missing_newline(file)
-        if needs_separator:
-            # Torn tail after a crash: separate instead of gluing the
-            # first new record onto the half-line.  (Live writers only
-            # ever append whole newline-terminated lines, so this
-            # cannot race with them into a double newline that matters
-            # — blank lines are skipped by every scan.)
-            payload = b"\n" + payload
-        with file.open("ab") as fh:
-            offset = fh.tell()
-            fh.write(payload)
-        if file.stat().st_size != offset + len(payload):
-            # A concurrent appender slipped in between our tell() and
-            # write(): the computed offsets are unreliable, so rebuild
-            # this segment's index from scratch (scans from byte 0 walk
-            # true line boundaries — O_APPEND writes are whole lines).
-            self._reload(index)
-            return
-        if offset > segment.indexed_size:
-            # Another process appended before our open: index that gap
-            # first, so the sidecar's coverage claim stays truthful.
-            self._scan_segment(file, segment, segment.indexed_size, offset)
-        if needs_separator:
-            offset += 1  # records start after the separating newline
-        for record, line in zip(records, encoded):
-            segment.entries[record["key"]] = (
-                offset,
-                record.get("store_version"),
-            )
-            offset += len(line)
-        segment.indexed_size = max(segment.indexed_size, offset)
-        segment.dirty = True
-
-    def iter_records(self) -> Iterator[dict[str, Any]]:
-        # Full sequential scan with last-wins, independent of the
-        # (possibly stale) in-memory indexes: iteration is an admin
-        # operation and must see exactly the effective records.
-        for index in range(self.segments):
-            file = self._file(index)
-            if not file.exists():
-                continue
-            effective: dict[str, dict[str, Any]] = {}
-            with file.open("rb") as fh:
-                for raw in fh:
-                    stripped = raw.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = json.loads(stripped)
-                    except ValueError:
-                        continue
-                    if record_is_wellformed(record):
-                        effective[record["key"]] = record
-            yield from effective.values()
-
-    def contains(self, key: str) -> bool:
-        return key in self._segment(self._bucket(key)).entries
-
-    def count(self) -> int:
-        return sum(
-            len(self._segment(index).entries) for index in range(self.segments)
-        )
-
-    def stale_count(self) -> int:
-        return sum(
-            1
-            for index in range(self.segments)
-            for (_, version) in self._segment(index).entries.values()
-            if version != STORE_VERSION
-        )
-
-    # -- maintenance ---------------------------------------------------
-    def verify(self) -> list[dict[str, Any]]:
-        issues: list[dict[str, Any]] = []
-        manifest = self.path / MANIFEST_NAME
-        if manifest.exists():
-            try:
-                data = json.loads(manifest.read_text())
-                if int(data["segments"]) <= 0:
-                    raise ValueError("non-positive segment count")
-            except (OSError, ValueError, KeyError, TypeError):
-                issues.append(
-                    {
-                        "file": str(manifest),
-                        "where": "manifest",
-                        "problem": "garbled manifest (segment count inferred "
-                        "from the files)",
-                    }
-                )
-        for index in range(self.segments):
-            file = self._file(index)
-            if not file.exists():
-                continue
-            with file.open("rb") as fh:
-                for number, raw in enumerate(fh, start=1):
-                    stripped = raw.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = json.loads(stripped)
-                    except ValueError:
-                        issues.append(
-                            {
-                                "file": str(file),
-                                "where": f"line {number}",
-                                "problem": "unparseable JSON "
-                                "(truncated or corrupt)",
-                            }
-                        )
-                        continue
-                    if not record_is_wellformed(record):
-                        issues.append(
-                            {
-                                "file": str(file),
-                                "where": f"line {number}",
-                                "problem": "not a store record "
-                                "(missing key/result)",
-                            }
-                        )
-            sidecar = self._sidecar(index)
-            if sidecar.exists():
-                try:
-                    data = json.loads(sidecar.read_text())
-                    if not isinstance(data["entries"], dict):
-                        raise TypeError("entries is not a mapping")
-                    if int(data["size"]) > file.stat().st_size:
-                        issues.append(
-                            {
-                                "file": str(sidecar),
-                                "where": "index",
-                                "problem": "index claims more bytes than the "
-                                "segment holds (segment truncated; index "
-                                "rebuilt by rescan)",
-                            }
-                        )
-                except (OSError, ValueError, KeyError, TypeError):
-                    issues.append(
-                        {
-                            "file": str(sidecar),
-                            "where": "index",
-                            "problem": "garbled index sidecar "
-                            "(rebuilt by rescan)",
-                        }
-                    )
-        return issues
-
-    def compact(self) -> dict[str, int]:
-        """Rewrite every segment keeping one current-version line per
-        key, dropping superseded and other-schema-version lines, and
-        rebuild the sidecar indexes."""
-        kept_total = 0
-        dropped_total = 0
-        self._ensure_layout()
-        for index in range(self.segments):
-            file = self._file(index)
-            if not file.exists():
-                continue
-            effective: dict[str, dict[str, Any]] = {}
-            lines = 0
-            with file.open("rb") as fh:
-                for raw in fh:
-                    stripped = raw.strip()
-                    if not stripped:
-                        continue
-                    lines += 1
-                    try:
-                        record = json.loads(stripped)
-                    except ValueError:
-                        continue
-                    if record_is_wellformed(record):
-                        effective[record["key"]] = record
-            segment = _Segment()
-            tmp = file.with_name(file.name + ".compact-tmp")
-            offset = 0
-            with tmp.open("wb") as fh:
-                for key, record in effective.items():
-                    if record.get("store_version") != STORE_VERSION:
-                        continue
-                    line = (encode_record(record) + "\n").encode("utf-8")
-                    fh.write(line)
-                    segment.entries[key] = (offset, STORE_VERSION)
-                    offset += len(line)
-            os.replace(tmp, file)
-            segment.indexed_size = offset
-            segment.dirty = True
-            self._segments[index] = segment
-            kept_total += len(segment.entries)
-            dropped_total += lines - len(segment.entries)
-        self.flush()
-        return {"kept": kept_total, "dropped": dropped_total}
-
-    def flush(self) -> None:
-        """Persist dirty sidecar indexes (atomically, via rename).
-
-        Before writing, any bytes another process appended since our
-        last look are tail-scanned in, so a sidecar never claims to
-        cover lines it has not indexed.
-        """
-        for index, segment in self._segments.items():
-            if not segment.dirty:
-                continue
-            file = self._file(index)
-            if not file.exists():
-                continue
-            size = file.stat().st_size
-            if size > segment.indexed_size:
-                self._scan_segment(file, segment, segment.indexed_size)
-            _atomic_write(
-                self._sidecar(index),
-                json.dumps(
-                    {
-                        "format": MANIFEST_FORMAT,
-                        "segments": self.segments,
-                        "size": segment.indexed_size,
-                        "entries": {
-                            key: [offset, version]
-                            for key, (offset, version) in segment.entries.items()
-                        },
-                    }
-                ),
-            )
-            segment.dirty = False
-
-    def release(self) -> None:
-        self.flush()
-        self._segments.clear()
-
-    def refresh(self) -> None:
-        """Drop cached indexes so appends by other processes are seen."""
-        self.flush()
-        self._segments.clear()
-
-    def close(self) -> None:
-        self.flush()
-        self._segments.clear()
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    # pid-unique scratch name: concurrent processes rewriting the same
-    # sidecar must not race each other's rename source away.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-# ---------------------------------------------------------------------------
 # Detection and construction
 # ---------------------------------------------------------------------------
 
 def detect_backend_kind(path: str | Path | None) -> str:
     """Infer the backend from a store path.
 
-    ``*.jsonl``/``*.json``/``*.ndjson`` → jsonl; ``*.sqlite``/
-    ``*.sqlite3``/``*.db`` → sqlite; an existing directory or a
-    suffix-less path → segment.  An existing file with an unknown
-    suffix is sniffed by magic bytes (SQLite else JSONL).
+    ``*.sqlite``/``*.sqlite3``/``*.db`` → sqlite; ``*.jsonl``/
+    ``*.json``/``*.ndjson`` → jsonl.  An existing file with any other
+    suffix (or none) is sniffed by magic bytes (SQLite else JSONL); a
+    path that does not exist yet is JSONL.  An existing directory is a
+    store of the retired segment backend and raises
+    :class:`~repro.errors.CampaignError`.
     """
     if path is None:
         return "memory"
     p = Path(path)
     if p.is_dir():
-        return "segment"
+        raise CampaignError(
+            f"store path {p} is a directory: segment stores are no longer "
+            "supported; convert it with `repro-campaign store migrate "
+            f"{p} <dest>.sqlite`"
+        )
     suffix = p.suffix.lower()
     if suffix in _SQLITE_SUFFIXES:
         return "sqlite"
-    if suffix in _JSONL_SUFFIXES:
+    if suffix in _JSONL_SUFFIXES or not p.exists():
         return "jsonl"
-    if p.exists():
-        try:
-            with p.open("rb") as fh:
-                head = fh.read(len(_SQLITE_MAGIC))
-        except OSError:
-            head = b""
-        return "sqlite" if head == _SQLITE_MAGIC else "jsonl"
-    if suffix == "":
-        return "segment"
-    return "jsonl"
+    try:
+        with p.open("rb") as fh:
+            head = fh.read(len(_SQLITE_MAGIC))
+    except OSError:
+        head = b""
+    return "sqlite" if head == _SQLITE_MAGIC else "jsonl"
 
 
 def open_backend(
@@ -1150,13 +667,12 @@ def open_backend(
     """Construct the backend for ``path`` (auto-detected unless named)."""
     if path is None:
         return MemoryBackend()
-    kind = backend if backend is not None else detect_backend_kind(path)
+    detected = detect_backend_kind(path)  # refuses a directory either way
+    kind = backend if backend is not None else detected
     if kind == "jsonl":
         return JsonlBackend(path)
     if kind == "sqlite":
         return SqliteBackend(path)
-    if kind == "segment":
-        return SegmentBackend(path)
     raise CampaignError(
         f"unknown store backend: {kind!r}; known: {BACKEND_KINDS}"
     )

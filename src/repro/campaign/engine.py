@@ -496,11 +496,11 @@ def execute_job_stored(
 ) -> dict[str, Any]:
     """Run one job in a pool worker and persist its result directly.
 
-    With a backend that takes concurrent writers (SQLite, segments),
-    each worker writes its own results instead of funneling them
-    through the parent — an interrupted campaign keeps every finished
+    With a backend that takes concurrent writers (SQLite), each worker
+    writes its own results instead of funneling them through the
+    parent — an interrupted campaign keeps every finished
     job even if the parent dies before collecting futures.  The worker
-    flushes after each put, so index sidecars stay current without the
+    flushes after each put, so its writes are durable without the
     worker ever having to close the store.  A retried job whose earlier
     attempt persisted before crashing re-puts the same key, which the
     store no-ops (payloads are bit-identical by construction).

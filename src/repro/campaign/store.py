@@ -10,12 +10,10 @@ would be bit-identical to a fresh simulation.  Records are dicts ::
 
 serialised as sorted-key JSON by whichever backend holds them (see
 :mod:`repro.campaign.backends`): the original append-only JSON-lines
-file, an indexed SQLite database (WAL mode, concurrent multi-process
-writers), or a directory of key-prefix-sharded segment files with
-sidecar offset indexes.  The backend is auto-detected from the path
-(``.jsonl`` file / ``.sqlite`` file / directory); all backends are
-record-for-record equivalent, and :func:`migrate_store` converts
-between them.
+file or an indexed SQLite database (WAL mode, concurrent multi-process
+writers).  The backend is auto-detected from the path (``.jsonl`` file
+/ ``.sqlite`` file); both backends are record-for-record equivalent,
+and :func:`migrate_store` converts between them.
 
 JSON serialises floats via ``repr`` (shortest round-trip), so payloads
 read back from a warm store compare equal to freshly simulated ones.
@@ -40,6 +38,7 @@ from typing import Any, Iterator
 from repro.campaign.backends import (
     BACKEND_KINDS,
     STORE_VERSION,
+    JsonlBackend,
     StoreBackend,
     open_backend,
 )
@@ -66,12 +65,12 @@ class ResultStore:
     """Persistent (or, with ``path=None``, in-memory) job-result cache.
 
     The backend is auto-detected from the path unless named explicitly
-    (``backend="jsonl" | "sqlite" | "segment"``).  The JSONL backend
+    (``backend="jsonl" | "sqlite"``).  The JSONL backend
     keeps the historical behaviour — eagerly loaded, appended on every
-    :meth:`put` — while the indexed backends open lazily and look keys
-    up on demand.  Unparseable bytes (a truncated tail after a crash, a
-    torn WAL, a garbled index sidecar) load as misses, never as
-    crashes; the next ``put`` of an affected key rewrites the record.
+    :meth:`put` — while SQLite opens lazily and looks keys up through
+    its index.  Unparseable bytes (a truncated tail after a crash, a
+    torn WAL) load as misses, never as crashes; the next ``put`` of an
+    affected key rewrites the record.
 
     The store is a context manager; ``with ResultStore(p) as store:``
     guarantees indexes and handles are flushed on the way out.
@@ -86,8 +85,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """The active backend kind (``memory``/``jsonl``/``sqlite``/
-        ``segment``)."""
+        """The active backend kind (``memory``/``jsonl``/``sqlite``)."""
         return self._backend.kind
 
     @property
@@ -139,7 +137,7 @@ class ResultStore:
         engine itself never reaches this — :meth:`get` raises on such
         records and the documented recovery is deleting the file).  The
         replacement becomes the effective record across sessions too
-        (append + last-wins on JSONL/segments, an upsert on SQLite).
+        (append + last-wins on JSONL, an upsert on SQLite).
         """
         existing = self._backend.get_record(key)
         if existing is not None and existing.get("store_version") == STORE_VERSION:
@@ -210,19 +208,18 @@ class ResultStore:
     def verify(self) -> list[dict[str, Any]]:
         """Report damaged entries (``{"file", "where", "problem"}``).
 
-        Damage — truncated/corrupt lines, unreadable databases, garbled
-        index sidecars — always loads as misses; this names exactly
-        what is damaged so operators can decide whether to compact,
-        re-simulate or restore.
+        Damage — truncated/corrupt lines, unreadable databases — always
+        loads as misses; this names exactly what is damaged so operators
+        can decide whether to compact, re-simulate or restore.
         """
         return self._backend.verify()
 
     def compact(self) -> dict[str, int]:
         """Drop superseded and other-schema-version records in place.
 
-        Returns ``{"kept": n, "dropped": m}``.  On JSONL/segment
-        backends this rewrites the files (reclaiming dead lines); on
-        SQLite it deletes stale rows and vacuums.
+        Returns ``{"kept": n, "dropped": m}``.  On JSONL this rewrites
+        the file (reclaiming dead lines); on SQLite it deletes stale
+        rows and vacuums.
         """
         return self._backend.compact()
 
@@ -274,19 +271,16 @@ class ResultStore:
         }
 
 
-def migrate_store(
-    source: str | Path,
-    dest: str | Path,
-    *,
-    backend: str | None = None,
-    source_backend: str | None = None,
-) -> dict[str, Any]:
+def migrate_store(source: str | Path, dest: str | Path) -> dict[str, Any]:
     """Copy every record of ``source`` into a fresh store at ``dest``.
 
     Records are carried over verbatim — payload bytes, descriptors and
     per-record schema versions included — so ``get()`` payloads and
-    ``summary()`` (bar the path) are identical before and after.  The
-    destination backend is auto-detected from ``dest`` unless named.
+    ``summary()`` (bar the path) are identical before and after.  Both
+    backends are detected from their paths.  A ``source`` directory is
+    a store of the retired segment backend: its ``seg-*.jsonl`` files
+    are JSONL record logs (every key lives in one file) and are read as
+    such, which is the one way left to import one.
 
     Raises :class:`~repro.errors.CampaignError` for a pre-v2 source
     store (records without a ``store_version`` field): their keys were
@@ -301,26 +295,32 @@ def migrate_store(
         raise CampaignError(f"source store {source_path} does not exist")
     if source_path.resolve() == dest_path.resolve():
         raise CampaignError("source and destination stores are the same path")
-    with ResultStore(source_path, backend=source_backend) as src:
-        records = []
-        for record in src.iter_records():
-            if "store_version" not in record:
-                raise CampaignError(
-                    f"cannot migrate pre-v2 store {source_path}: record "
-                    f"{record['key']} carries no store_version (keys were "
-                    "hashed under the v1 scheme); re-simulate into a fresh "
-                    "store instead"
-                )
-            records.append(record)
-        with ResultStore(dest_path, backend=backend) as out:
-            if len(out) > 0:
-                raise CampaignError(
-                    f"refusing to migrate into non-empty store {dest_path} "
-                    f"({len(out)} records); migration never merges"
-                )
-            out._backend.put_records(records)
-            stale = out.stale_records
-            kind = out.backend
+    if source_path.is_dir():
+        records = [
+            record
+            for segment in sorted(source_path.glob("seg-*.jsonl"))
+            for record in JsonlBackend(segment).iter_records()
+        ]
+    else:
+        with ResultStore(source_path) as src:
+            records = list(src.iter_records())
+    for record in records:
+        if "store_version" not in record:
+            raise CampaignError(
+                f"cannot migrate pre-v2 store {source_path}: record "
+                f"{record['key']} carries no store_version (keys were "
+                "hashed under the v1 scheme); re-simulate into a fresh "
+                "store instead"
+            )
+    with ResultStore(dest_path) as out:
+        if len(out) > 0:
+            raise CampaignError(
+                f"refusing to migrate into non-empty store {dest_path} "
+                f"({len(out)} records); migration never merges"
+            )
+        out._backend.put_records(records)
+        stale = out.stale_records
+        kind = out.backend
     return {
         "migrated": len(records),
         "stale": stale,

@@ -330,11 +330,7 @@ class ExecutionSimulator:
         """
         if listeners or instrumentation is not None:
             instrumented = True
-        threads = threads if threads is not None else app.default_threads
-        if not app.model.supports_thread_tuning:
-            threads = app.default_threads
-        if not 1 <= threads <= self.node.topology.num_cores:
-            raise WorkloadError(f"invalid thread count: {threads}")
+        threads = app.resolve_threads(threads, self.node.topology.num_cores)
 
         compiler = getattr(controller, "compile_schedule", None)
         eligible = not listeners and (controller is None or compiler is not None)
@@ -422,11 +418,7 @@ class ExecutionSimulator:
         """
         from repro.execution.replay import replay_phase_counters
 
-        threads = threads if threads is not None else app.default_threads
-        if not app.model.supports_thread_tuning:
-            threads = app.default_threads
-        if not 1 <= threads <= self.node.topology.num_cores:
-            raise WorkloadError(f"invalid thread count: {threads}")
+        threads = app.resolve_threads(threads, self.node.topology.num_cores)
         return replay_phase_counters(
             self, app, threads=threads, counters=tuple(counters), run_key=run_key
         )

@@ -462,11 +462,7 @@ def sweep_run(
     # -- per-configuration schedule numbers (compile once, price per cell)
     evaluated: list[_ConfigEval] = []
     for point in points:
-        threads = point.threads
-        if not app.model.supports_thread_tuning:
-            threads = app.default_threads
-        if not 1 <= threads <= topo.num_cores:
-            raise WorkloadError(f"invalid thread count: {threads}")
+        threads = app.resolve_threads(point.threads, topo.num_cores)
         effective = OperatingPoint(
             core_freq_ghz=_effective_frequency(
                 point.core_freq_ghz,

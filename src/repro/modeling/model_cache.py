@@ -105,7 +105,7 @@ def train_network_cached(
     """Train, or recall bit-identical weights from the result store.
 
     With ``store=None`` this is exactly :func:`train_network`.  A path
-    (any store backend — JSONL, SQLite, segment directory) is opened
+    (any store backend — JSONL or SQLite) is opened
     for the duration of the call and closed afterwards; an open
     :class:`ResultStore` is used as-is and left open.
     """

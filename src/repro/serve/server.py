@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="execute independent coalesced groups on this many warm "
              "worker processes (needs a concurrent-writer store backend "
-             "such as SQLite/segments; JSONL/in-memory stores fall back "
+             "such as SQLite; JSONL/in-memory stores fall back "
              "to the serial in-process path)",
     )
     parser.add_argument(

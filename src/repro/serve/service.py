@@ -6,8 +6,9 @@
 ``handle`` directly).  One request flows through four gates:
 
 1. **Admission** — parse and validate against the wire schema and the
-   service's cluster (an out-of-range ``node_id`` or a malformed
-   ``tmm`` is a ``bad-value``, refused before it can join a group);
+   service's cluster (an out-of-range ``node_id``, a thread count the
+   node cannot run or a malformed ``tmm`` is a ``bad-value``, refused
+   before it can join a group);
    while draining, new work is refused with a ``draining`` error so
    clients retry elsewhere.
 2. **Dedup** — an *exact* duplicate of an in-flight request joins its
@@ -45,6 +46,7 @@ forever; groups already running always finish and answer normally.
 from __future__ import annotations
 
 import asyncio
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -64,12 +66,15 @@ from repro.errors import (
     SchemaError,
     TuningError,
     TuningModelError,
+    WorkloadError,
 )
 from repro.execution.simulator import OperatingPoint
+from repro.hardware.topology import NodeTopology
 from repro.readex.tuning_model import TuningModel
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
 from repro.serve.schema import error_response, ok_response, parse_request
+from repro.workloads import registry
 
 __all__ = ["DEFAULT_DRAIN_DEADLINE_S", "ServiceMetrics", "TuningService"]
 
@@ -81,6 +86,16 @@ DEFAULT_DRAIN_DEADLINE_S = 30.0
 #: Sentinel distinguishing "use the service default" from an explicit
 #: ``deadline_s=None`` (wait forever) in :meth:`TuningService.drain`.
 _UNSET: Any = object()
+
+
+#: The node layout of a cluster built without an explicit topology.
+_DEFAULT_TOPOLOGY = NodeTopology.default()
+
+
+@functools.lru_cache(maxsize=None)
+def _registered_app(benchmark: str):
+    """One application instance per benchmark, read only at admission."""
+    return registry.build(benchmark)
 
 
 @dataclass
@@ -136,7 +151,7 @@ class TuningService:
 
     ``workers >= 2`` executes independent groups concurrently on a
     warm process pool (:mod:`repro.serve.workers`) when the store can
-    take parallel writers (SQLite/segments, or no store at all); a
+    take parallel writers (SQLite, or no store at all); a
     JSONL or in-memory store falls back to the serial in-process path
     and records why under ``worker_pool.fallback`` in the metrics.
     ``warm`` names benchmarks whose caches are preloaded before the
@@ -296,15 +311,20 @@ class TuningService:
             request = parse_request(payload).resolved()
             # An out-of-range node fails at admission, alone, instead of
             # failing every request coalesced with it.
-            self.options.resolve_cluster(request.seed).check_node_id(
-                request.node_id
+            cluster = self.options.resolve_cluster(request.seed)
+            cluster.check_node_id(request.node_id)
+            # So does a thread count the node cannot run (MPI-only codes
+            # ignore ``threads``, exactly as execution does).
+            topology = cluster.topology or _DEFAULT_TOPOLOGY
+            _registered_app(request.benchmark).resolve_threads(
+                request.threads, topology.num_cores
             )
             # So does a malformed tuning model.
             if request.tmm is not None:
                 TuningModel.from_json(request.tmm)
         except SchemaError as exc:
             return error_response("bad-request", str(exc))
-        except (TuningError, JobError, TuningModelError) as exc:
+        except (TuningError, JobError, TuningModelError, WorkloadError) as exc:
             return error_response("bad-value", str(exc))
 
         # Exact in-flight duplicate: join its future.

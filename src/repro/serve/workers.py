@@ -25,7 +25,7 @@ pool initializer re-warms in each worker instead — same caches, paid
 once per worker.)
 
 **Direct store writes.**  With a concurrent-writer store backend
-(SQLite, sharded segments), each worker opens its own handle (the
+(SQLite), each worker opens its own handle (the
 per-pid cache of :func:`repro.campaign.engine._worker_store`) and
 persists grid rows as it executes them, exactly like direct-writing
 campaign pool workers — same keys, same payloads, no funneling through
@@ -101,8 +101,8 @@ def pool_supported(store) -> str | None:
     """Why ``store`` cannot take pool workers (``None`` when it can).
 
     Parallel workers write (and read) the store concurrently, so the
-    backend must support concurrent writers — SQLite (WAL) and sharded
-    segments do; the JSONL tier and in-memory stores do not.
+    backend must support concurrent writers — SQLite (WAL) does; the
+    JSONL tier and in-memory stores do not.
     """
     if store is None:
         return None

@@ -329,12 +329,7 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "--store",
         default="campaign-store.jsonl",
         help="result store path (created if missing; backend auto-detected: "
-        "*.jsonl file, *.sqlite database, or a directory of segments)",
-    )
-    run_p.add_argument(
-        "--backend",
-        choices=("jsonl", "sqlite", "segment"),
-        help="force the store backend instead of auto-detecting from the path",
+        "*.jsonl file or *.sqlite database)",
     )
     run_p.add_argument(
         "--workers",
@@ -412,12 +407,14 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "migrate",
         help="copy a store into a fresh one on another backend",
     )
-    migrate_p.add_argument("source", help="existing store (any backend)")
-    migrate_p.add_argument("dest", help="destination store path (must be fresh)")
     migrate_p.add_argument(
-        "--backend",
-        choices=("jsonl", "sqlite", "segment"),
-        help="destination backend (default: auto-detect from the path)",
+        "source",
+        help="existing store (any backend, or a legacy segment-store directory)",
+    )
+    migrate_p.add_argument(
+        "dest",
+        help="destination store path (must be fresh; the suffix picks the "
+        "backend: *.jsonl or *.sqlite)",
     )
 
     compact_p = store_sub.add_parser(
@@ -500,7 +497,7 @@ def _campaign_dispatch(args) -> int:
     policy = RetryPolicy(
         max_retries=args.retries, job_timeout_s=args.job_timeout
     )
-    with ResultStore(args.store, backend=args.backend) as store:
+    with ResultStore(args.store) as store:
         engine = CampaignEngine(
             store=store, max_workers=args.workers, retry_policy=policy
         )
@@ -598,7 +595,7 @@ def _store_dispatch(args) -> int:
     from repro.campaign import ResultStore, migrate_store
 
     if args.store_command == "migrate":
-        stats = migrate_store(args.source, args.dest, backend=args.backend)
+        stats = migrate_store(args.source, args.dest)
         print(
             f"migrated {stats['migrated']} record(s) from {stats['source']} "
             f"to {stats['dest']} ({stats['backend']})"

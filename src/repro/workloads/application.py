@@ -51,6 +51,20 @@ class Application:
             )
         self._phase = phases[0]
 
+    def resolve_threads(self, threads: int | None, num_cores: int) -> int:
+        """The OpenMP thread count a run asked for ``threads`` uses.
+
+        ``None`` means the application default; MPI-only codes have no
+        thread knob and always run at their default, whatever was asked.
+        Raises :class:`WorkloadError` unless the count lies in
+        ``[1, num_cores]``.
+        """
+        if threads is None or not self.model.supports_thread_tuning:
+            threads = self.default_threads
+        if not 1 <= threads <= num_cores:
+            raise WorkloadError(f"invalid thread count: {threads}")
+        return threads
+
     @property
     def phase(self) -> Region:
         """The phase region (one main-loop iteration)."""

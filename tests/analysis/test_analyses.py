@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import config
+from repro import api, config
 from repro.analysis.heatmap import energy_heatmap
 from repro.analysis.savings import compare_static_dynamic
 from repro.analysis.tradeoffs import energy_time_tradeoff, pareto_front
@@ -170,14 +170,15 @@ class TestSavings:
         static = OperatingPoint(2.4, 2.0, 24)
         rows = {
             engine: compare_static_dynamic(
-                "Lulesh", static, tmm, cluster=cluster, runs=2, engine=engine
+                "Lulesh", static, tmm, cluster=cluster, runs=2,
+                options=api.ExecutionOptions(engine=engine),
             )
             for engine in ("auto", "recursive", "replay")
         }
         assert rows["auto"] == rows["recursive"] == rows["replay"]
         via_campaign = compare_static_dynamic(
             "Lulesh", static, tmm, cluster=cluster, runs=2,
-            campaign=CampaignEngine(max_workers=0),
+            options=api.ExecutionOptions(campaign=CampaignEngine(max_workers=0)),
         )
         assert via_campaign == rows["auto"]
 
@@ -187,7 +188,6 @@ class TestSavings:
         """compare_static_dynamic_many batches every benchmark's four
         variants into one fleet campaign run, each row bit-identical
         to its solo compare_static_dynamic call."""
-        from repro import api
         from repro.analysis.savings import (
             SavingsCase,
             compare_static_dynamic_many,
@@ -238,7 +238,8 @@ class TestSavings:
                 TuningModel.from_best_configs(
                     "Lulesh", "phase", {"phase": OperatingPoint(2.4, 1.6, 24)}
                 ),
-                cluster=cluster, runs=1, engine="warp",
+                cluster=cluster, runs=1,
+                options=api.ExecutionOptions(engine="sweep"),  # grids only
             )
 
     def test_campaign_topology_mismatch_rejected(self, cluster):
@@ -253,7 +254,9 @@ class TestSavings:
                     "Lulesh", "phase", {"phase": OperatingPoint(2.4, 1.6, 24)}
                 ),
                 cluster=cluster, runs=1,
-                campaign=CampaignEngine(topology=NodeTopology.build(1, 8)),
+                options=api.ExecutionOptions(
+                    campaign=CampaignEngine(topology=NodeTopology.build(1, 8))
+                ),
             )
 
 

@@ -1,7 +1,9 @@
-"""Tests for the :mod:`repro.api` facade and its deprecation shims."""
+"""Tests for the :mod:`repro.api` facade."""
 
+import dataclasses
+import importlib
+import inspect
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +19,17 @@ class TestExecutionOptions:
         options = api.ExecutionOptions()
         assert options.engine == "auto"
         assert options.campaign is None
-        assert options.measurement == "grid"
+        assert options.cluster is None
         assert options.on_failure == "raise"
         assert options.retry_failed is False
+        assert [f.name for f in dataclasses.fields(options)] == [
+            "engine", "campaign", "cluster", "on_failure", "retry_failed"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"engine": "warp"},
-            {"measurement": "row"},
             {"on_failure": "explode"},
         ],
     )
@@ -47,31 +51,6 @@ class TestExecutionOptions:
         assert api.ExecutionOptions(cluster=cluster).resolve_cluster(9) is cluster
         default = api.ExecutionOptions().resolve_cluster(9)
         assert default.seed == 9
-
-
-class TestResolveOptions:
-    def test_legacy_kwargs_warn_once_per_site(self):
-        site = "tests.api.unique_site_for_warn_once"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = api.resolve_options(None, site=site, engine="loop")
-            second = api.resolve_options(None, site=site, engine="loop")
-        assert first.engine == "loop" and second.engine == "loop"
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert site in str(deprecations[0].message)
-
-    def test_options_and_legacy_kwargs_conflict(self):
-        with pytest.raises(CampaignError, match="both"):
-            api.resolve_options(
-                api.ExecutionOptions(), site="tests.api.conflict", engine="loop"
-            )
-
-    def test_options_pass_through_unchanged(self):
-        options = api.ExecutionOptions(engine="loop")
-        assert api.resolve_options(options, site="tests.api.pass") is options
 
 
 class TestTuningRequest:
@@ -160,34 +139,23 @@ class TestTune:
         assert answer.energy_saving == pytest.approx(expected)
 
 
-class TestShims:
-    def test_heatmap_legacy_engine_still_works_and_warns(self):
-        from repro.analysis.heatmap import energy_heatmap
-
-        # warn-once is per call site and global; an earlier test in the
-        # session may already have warmed this site.
-        api._WARNED_SITES.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = energy_heatmap("EP", threads=24, engine="sweep")
-        modern = energy_heatmap(
-            "EP", threads=24, options=api.ExecutionOptions(engine="sweep")
-        )
-        assert np.array_equal(legacy.normalized, modern.normalized)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_heatmap_rejects_options_plus_legacy(self):
-        from repro.analysis.heatmap import energy_heatmap
-
-        with pytest.raises(CampaignError, match="both"):
-            energy_heatmap(
-                "EP",
-                threads=24,
-                engine="sweep",
-                options=api.ExecutionOptions(),
-            )
+class TestOptionsCallSites:
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.analysis.heatmap", "energy_heatmap"),
+            ("repro.analysis.savings", "compare_static_dynamic"),
+            ("repro.analysis.savings", "compare_static_dynamic_many"),
+            ("repro.analysis.tradeoffs", "energy_time_tradeoff"),
+            ("repro.ptf.static_tuning", "exhaustive_static_search"),
+        ],
+    )
+    def test_options_is_the_only_execution_keyword(self, module, name):
+        function = getattr(importlib.import_module(module), name)
+        parameters = inspect.signature(function).parameters
+        assert "options" in parameters
+        for legacy in ("engine", "campaign", "measurement"):
+            assert legacy not in parameters
 
     def test_static_tuning_accepts_options(self):
         from repro.hardware.cluster import Cluster

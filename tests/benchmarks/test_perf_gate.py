@@ -266,8 +266,6 @@ class TestCommittedBaselines:
 def store_report(
     sqlite_recall: float = 100.0,
     sqlite_open: float = 100.0,
-    segment_recall: float = 20.0,
-    segment_open: float = 50.0,
     identical: bool = True,
 ) -> dict:
     return {
@@ -277,10 +275,6 @@ def store_report(
             "sqlite": {
                 "recall_speedup": sqlite_recall,
                 "cold_open_speedup": sqlite_open,
-            },
-            "segment": {
-                "recall_speedup": segment_recall,
-                "cold_open_speedup": segment_open,
             },
         },
         "payloads_identical": identical,
@@ -298,9 +292,9 @@ class TestStoreScaleGate:
         baseline = write(tmp_path / "b.json", store_report(sqlite_recall=100.0))
         assert gate.main([str(current), str(baseline)]) == 1
 
-    def test_fails_on_segment_cold_open_slowdown(self, tmp_path):
-        current = write(tmp_path / "a.json", store_report(segment_open=10.0))
-        baseline = write(tmp_path / "b.json", store_report(segment_open=50.0))
+    def test_fails_on_sqlite_cold_open_slowdown(self, tmp_path):
+        current = write(tmp_path / "a.json", store_report(sqlite_open=10.0))
+        baseline = write(tmp_path / "b.json", store_report(sqlite_open=50.0))
         assert gate.main([str(current), str(baseline)]) == 1
 
     def test_fails_when_payloads_diverge(self, tmp_path):
@@ -315,14 +309,13 @@ class TestStoreScaleBaselines:
     def test_committed_million_record_baseline(self):
         """The ISSUE 6 acceptance numbers, pinned at baseline time:
         >= 10x warm recall-by-key and >= 5x cold open at 10^6 records
-        for both indexed backends over JSONL."""
+        for SQLite over JSONL."""
         report = json.loads((self.BASELINES / "store-scale.json").read_text())
         assert report["benchmark"] == "store_scale"
         assert report["records"] == 1_000_000
-        for backend in ("sqlite", "segment"):
-            entry = report["backends"][backend]
-            assert entry["recall_speedup"] >= 10, backend
-            assert entry["cold_open_speedup"] >= 5, backend
+        entry = report["backends"]["sqlite"]
+        assert entry["recall_speedup"] >= 10
+        assert entry["cold_open_speedup"] >= 5
         assert report["payloads_identical"] is True
 
     def test_committed_smoke_baseline(self):
@@ -332,10 +325,9 @@ class TestStoreScaleBaselines:
         )
         assert report["benchmark"] == "store_scale"
         assert report["records"] == 100_000
-        for backend in ("sqlite", "segment"):
-            entry = report["backends"][backend]
-            assert entry["recall_speedup"] > 1, backend
-            assert entry["cold_open_speedup"] > 1, backend
+        entry = report["backends"]["sqlite"]
+        assert entry["recall_speedup"] > 1
+        assert entry["cold_open_speedup"] > 1
         assert report["payloads_identical"] is True
 
     def test_gate_passes_against_themselves(self):

@@ -83,18 +83,17 @@ class TestStatusCommand:
         assert "results: 0" in out
 
 
-class TestBackendFlag:
+class TestBackendFromPath:
     @pytest.mark.parametrize("backend, name", [
         ("sqlite", "store.sqlite"),
-        ("segment", "store-segments"),
     ])
-    def test_run_with_indexed_backend(self, capsys, tmp_path, backend, name):
+    def test_run_picks_backend_from_suffix(self, capsys, tmp_path, backend, name):
         store = tmp_path / name
         out = run_cli(
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--backend", backend, "--workers", "1",
+            "--store", str(store), "--workers", "1",
         )
         assert f"({backend})" in out
         out = run_cli(capsys, "status", "--store", str(store))
@@ -129,14 +128,20 @@ class TestStoreSubcommands:
         out = run_cli(capsys, "status", "--store", str(dest))
         assert "results: 5" in out and "(sqlite)" in out
 
-    def test_migrate_explicit_backend_flag(self, capsys, tmp_path):
-        source = self.seed_store(capsys, tmp_path)
-        dest = tmp_path / "migrated-anywhere"
-        out = run_cli(
-            capsys, "store", "migrate", str(source), str(dest),
-            "--backend", "segment",
-        )
-        assert "(segment)" in out and dest.is_dir()
+    @pytest.mark.parametrize("argv", [
+        ["run", "--store", "s.sqlite", "--backend", "sqlite"],
+        ["store", "migrate", "a.jsonl", "b.sqlite", "--backend", "sqlite"],
+    ], ids=["run", "migrate"])
+    def test_no_backend_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main_campaign(argv)
+        assert exc.value.code == 2  # argparse: unrecognized argument
+        assert "--backend" in capsys.readouterr().err
+
+    def test_directory_store_names_the_migrate_command(self, capsys, tmp_path):
+        assert main_campaign(["status", "--store", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro-campaign store migrate" in err and "Traceback" not in err
 
     def test_migrate_refusal_prints_clean_error(self, capsys, tmp_path):
         source = tmp_path / "pre-v2.jsonl"

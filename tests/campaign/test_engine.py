@@ -8,7 +8,7 @@ simulations.
 
 import pytest
 
-from repro import config
+from repro import api, config
 from repro.campaign.engine import CampaignEngine, execute_job
 from repro.campaign.plan import (
     CampaignJob,
@@ -272,23 +272,24 @@ class TestConsumerEquivalence:
         app = registry.build("EP")
         store = ResultStore(tmp_path / "store.jsonl")
         engine = CampaignEngine(store=store, max_workers=1)
+        options = api.ExecutionOptions(campaign=engine)
         first = exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), engine=engine
+            app, cluster, stride=6, thread_counts=(24,), options=options
         )
         executed = engine.total_executed
-        # The default measurement submits one sweep-replay job per
-        # (threads, CF) grid row, not one per cell.
+        # The search submits one sweep-replay job per (threads, CF) grid
+        # row, not one per cell.
         points = static_operating_points(app, stride=6, thread_counts=(24,))
         assert executed == len(grid_rows(points))
         assert first.configurations_tried == len(points)
         second = exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), engine=engine
+            app, cluster, stride=6, thread_counts=(24,), options=options
         )
         assert engine.total_executed == executed  # zero new simulations
         assert second == first
-        # The historical per-cell plan measures the same result.
+        # Without a campaign engine the search measures the same result.
         assert exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), measurement="cell"
+            app, cluster, stride=6, thread_counts=(24,)
         ) == first
 
     def test_static_search_honours_explicit_threads_for_mpi_codes(self):
@@ -363,13 +364,12 @@ class TestConsumerEquivalence:
 
 
 class TestDirectWorkerWrites:
-    """On concurrent-writer backends (SQLite, segments) pool workers
+    """On the concurrent-writer backend (SQLite) pool workers
     persist their own results instead of funneling through the parent;
     results must stay bit-identical to the serial JSONL path."""
 
     @pytest.mark.parametrize("name, backend", [
         ("store.sqlite", "sqlite"),
-        ("store-segments", "segment"),
     ])
     def test_pool_direct_writes_bit_identical_to_serial(
         self, tmp_path, name, backend

@@ -417,11 +417,11 @@ class TestResumeManifest:
 # Chaos suite: real pools, real signals (pytest -m chaos)
 # ---------------------------------------------------------------------------
 
-BACKENDS = ("jsonl", "sqlite", "segment")
+BACKENDS = ("jsonl", "sqlite")
 
 
 def _store_arg(tmp_path, backend):
-    suffix = {"jsonl": "store.jsonl", "sqlite": "store.sqlite", "segment": "store"}
+    suffix = {"jsonl": "store.jsonl", "sqlite": "store.sqlite"}
     return str(tmp_path / suffix[backend])
 
 
@@ -547,7 +547,7 @@ class TestChaosDrainResume:
         # Reference: uninterrupted run.
         ref_path = _store_arg(tmp_path / "ref", backend)
         r = _run_cli(
-            ["run", "--store", ref_path, "--backend", backend, *flags],
+            ["run", "--store", ref_path, *flags],
             _cli_env(),
         )
         assert r.returncode == 0, r.stdout + r.stderr
@@ -567,8 +567,6 @@ class TestChaosDrainResume:
                 "run",
                 "--store",
                 store_path,
-                "--backend",
-                backend,
                 *flags,
             ],
             env=env,
@@ -598,8 +596,6 @@ class TestChaosDrainResume:
                 "run",
                 "--store",
                 store_path,
-                "--backend",
-                backend,
                 "--resume",
                 *flags,
             ],

@@ -216,7 +216,6 @@ class TestLifecycle:
         for name, backend in (
             ("store.jsonl", "jsonl"),
             ("store.sqlite", "sqlite"),
-            ("store-segments", "segment"),
         ):
             store = ResultStore(tmp_path / name, backend=backend)
             store.put(key, job.descriptor(), {"time_s": 1.0})

@@ -1,6 +1,6 @@
 """Property-based equivalence of the pluggable store backends.
 
-Every backend (jsonl, sqlite, segment — plus the in-memory reference)
+Every backend (jsonl, sqlite — plus the in-memory reference)
 must expose *identical* observable ``ResultStore`` semantics: the same
 gets, membership, lengths, summaries, stale accounting, version-mismatch
 errors and stale-healing behaviour for any sequence of operations.  The
@@ -22,10 +22,10 @@ from repro.campaign.backends import BACKEND_KINDS, detect_backend_kind
 from repro.campaign.store import STORE_VERSION, ResultStore, job_key
 from repro.errors import CampaignError
 
-DISK_BACKENDS = tuple(BACKEND_KINDS)  # ("jsonl", "sqlite", "segment")
+DISK_BACKENDS = tuple(BACKEND_KINDS)  # ("jsonl", "sqlite")
 
 
-_SUFFIXES = {"jsonl": ".jsonl", "sqlite": ".sqlite", "segment": ""}
+_SUFFIXES = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
 
 
 def store_for(tmp_path, backend: str, name: str = "store") -> ResultStore:
@@ -239,16 +239,19 @@ class TestDetection:
             ("store.sqlite", "sqlite"),
             ("store.sqlite3", "sqlite"),
             ("store.db", "sqlite"),
-            ("store-directory", "segment"),
+            ("store-without-suffix", "jsonl"),
         ],
     )
     def test_kind_from_fresh_path(self, tmp_path, name, expected):
         assert detect_backend_kind(tmp_path / name) == expected
 
-    def test_existing_directory_is_segment(self, tmp_path):
+    def test_existing_directory_is_refused(self, tmp_path):
         target = tmp_path / "store.weird"
         target.mkdir()
-        assert detect_backend_kind(target) == "segment"
+        with pytest.raises(CampaignError, match="repro-campaign store migrate"):
+            detect_backend_kind(target)
+        with pytest.raises(CampaignError, match="repro-campaign store migrate"):
+            ResultStore(target, backend="sqlite")
 
     def test_existing_sqlite_file_sniffed_by_magic(self, tmp_path):
         target = tmp_path / "store.cache"

@@ -1,6 +1,6 @@
-"""Multi-process write stress for the concurrent store backends.
+"""Multi-process write stress for the concurrent store backend.
 
-The SQLite and segment backends advertise
+The SQLite backend advertises
 ``supports_concurrent_writers``: several worker processes may put
 results into the same store at once (this is what lets campaign pool
 workers write directly instead of funnelling results through the
@@ -25,7 +25,7 @@ import pytest
 
 from repro.campaign.store import STORE_VERSION, ResultStore, job_key
 
-CONCURRENT_BACKENDS = ("sqlite", "segment")
+CONCURRENT_BACKENDS = ("sqlite",)
 
 #: Keys are deliberately shared across writers: with 4 writers over 80
 #: keys each from a 120-key space, most keys see multiple writers.

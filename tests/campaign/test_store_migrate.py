@@ -5,7 +5,9 @@ twelve current-version records plus two records written under the
 previous schema version (stale weight whose keys were hashed under that
 version).  Migrating it into each backend must carry every record
 verbatim — byte-identical ``get()`` payloads, identical ``summary()``
-(modulo path/backend), stale accounting preserved.
+(modulo path/backend), stale accounting preserved.  The same holds for
+the fixture's records laid out as a store of the retired segment
+backend, which ``migrate`` still imports.
 
 ``store-pre-v2.jsonl`` is a pre-versioning store (no ``store_version``
 field); ``migrate`` must refuse it with a clear CampaignError, because
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.backends import encode_record
 from repro.campaign.store import ResultStore, migrate_store
 from repro.errors import CampaignError
 
@@ -31,7 +34,6 @@ PRE_V2_FIXTURE = GOLDEN / "store-pre-v2.jsonl"
 DEST_NAMES = {
     "jsonl": "migrated.jsonl",
     "sqlite": "migrated.sqlite",
-    "segment": "migrated-segments",
 }
 
 
@@ -51,13 +53,13 @@ def test_fixture_is_what_the_docstring_claims():
     assert len(versions) == 2  # current + one stale generation
 
 
-@pytest.mark.parametrize("backend", ("jsonl", "sqlite", "segment"))
+@pytest.mark.parametrize("backend", ("jsonl", "sqlite"))
 def test_migrate_fixture_to_each_backend(tmp_path, backend):
     source = tmp_path / "source.jsonl"
     shutil.copy(V2_FIXTURE, source)
     dest = tmp_path / DEST_NAMES[backend]
 
-    stats = migrate_store(source, dest, backend=backend)
+    stats = migrate_store(source, dest)
     assert stats["migrated"] == 14
     assert stats["stale"] == 2
     assert stats["backend"] == backend
@@ -89,10 +91,10 @@ def test_migrate_fixture_to_each_backend(tmp_path, backend):
 
 
 def test_migrate_round_trip_back_to_jsonl(tmp_path):
-    """jsonl -> segment -> jsonl carries every record unchanged."""
+    """jsonl -> sqlite -> jsonl carries every record unchanged."""
     source = tmp_path / "source.jsonl"
     shutil.copy(V2_FIXTURE, source)
-    middle = tmp_path / "middle-segments"
+    middle = tmp_path / "middle.sqlite"
     final = tmp_path / "final.jsonl"
     migrate_store(source, middle)
     migrate_store(middle, final)
@@ -133,3 +135,60 @@ def test_migrate_refuses_non_empty_destination(tmp_path):
     migrate_store(source, dest)
     with pytest.raises(CampaignError, match="non-empty"):
         migrate_store(source, dest)
+
+
+def write_segment_store(root: Path, segments: int = 2) -> dict[str, dict]:
+    """Lay the fixture out as a retired segment-backend store, by hand.
+
+    The layout that backend wrote: a ``segment-store.json`` manifest and
+    ``seg-K.jsonl`` files of :func:`encode_record` lines, each key in
+    bucket ``int(key[:8], 16) % segments``.  One current record is
+    written twice — first with a superseded payload — so the import
+    must apply last-wins within a segment.  Returns the effective
+    record per key.
+    """
+    root.mkdir()
+    (root / "segment-store.json").write_text(
+        json.dumps({"format": "repro-segment-store", "segments": segments})
+        + "\n"
+    )
+    records = fixture_records()
+    superseded = next(r for r in records if r["store_version"] == 2)
+    older = dict(superseded, result={"node_energy_j": -1.0})
+    lines: dict[int, list[str]] = {}
+    for record in [older, *records]:
+        bucket = int(record["key"][:8], 16) % segments
+        lines.setdefault(bucket, []).append(encode_record(record) + "\n")
+    assert sorted(lines) == list(range(segments))  # no empty segment
+    for bucket, text in lines.items():
+        (root / f"seg-{bucket}.jsonl").write_text("".join(text))
+    return {r["key"]: r for r in records}
+
+
+def test_migrate_imports_legacy_segment_directory(tmp_path):
+    segments = tmp_path / "legacy-segments"
+    effective = write_segment_store(segments)
+    reference = tmp_path / "reference.jsonl"
+    shutil.copy(V2_FIXTURE, reference)
+    dest = tmp_path / "imported.sqlite"
+
+    stats = migrate_store(segments, dest)
+    assert stats["migrated"] == len(effective) == 14
+    assert stats["stale"] == 2
+    assert stats["backend"] == "sqlite"
+
+    with ResultStore(reference) as ref, ResultStore(dest) as out:
+        assert {r["key"]: r for r in out.iter_records()} == effective
+        for key, record in effective.items():
+            if record["store_version"] == 2:
+                assert out.get(key) == ref.get(key) == record["result"]
+        ref_summary, out_summary = ref.summary(), out.summary()
+        for field in ("results", "stale", "quarantined", "apps", "modes"):
+            assert out_summary[field] == ref_summary[field]
+
+
+def test_legacy_segment_directory_is_not_a_live_store(tmp_path):
+    segments = tmp_path / "legacy-segments"
+    write_segment_store(segments)
+    with pytest.raises(CampaignError, match="repro-campaign store migrate"):
+        ResultStore(segments)

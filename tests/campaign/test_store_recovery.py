@@ -1,8 +1,8 @@
 """Crash-recovery and corruption behaviour of the store backends.
 
 The contract (ISSUE 6): damaged bytes — a truncated JSONL tail after a
-crash, a torn SQLite WAL or an overwritten database page, a garbled or
-stale segment index sidecar — **load as misses, never as crashes**, and
+crash, a torn SQLite WAL or an overwritten database page — **load as
+misses, never as crashes**, and
 ``repro-campaign store verify`` reports exactly what is damaged.  A
 damaged entry is then healed by the next ``put`` of its key (or, for an
 unreadable database, surfaced as a clear write-time CampaignError).
@@ -159,90 +159,3 @@ class TestSqliteRecovery:
             store.put(keys[0], descriptor(0), result(0))
             assert store.get(keys[0]) == result(0)
             assert store.verify() == []
-
-
-# ---------------------------------------------------------------------------
-# Segments: garbled/stale sidecar indexes, truncated segment files
-# ---------------------------------------------------------------------------
-
-
-class TestSegmentRecovery:
-    def _sidecars(self, root):
-        return sorted(root.glob("seg-*.idx.json"))
-
-    def test_garbled_sidecar_rebuilt_by_rescan(self, tmp_path):
-        root = tmp_path / "store-segments"
-        with ResultStore(root, backend="segment") as store:
-            keys = fill(store, 20)
-        sidecars = self._sidecars(root)
-        assert sidecars, "expected index sidecars on disk"
-        for sidecar in sidecars[:2]:
-            sidecar.write_text("{definitely garbled")
-
-        with ResultStore(root) as store:
-            # Every record still readable — the index is advisory.
-            for i, key in enumerate(keys):
-                assert store.get(key) == result(i)
-            issues = store.verify()
-            assert len(issues) == 2
-            assert {i["file"] for i in issues} == {str(s) for s in sidecars[:2]}
-            assert all("garbled index sidecar" in i["problem"] for i in issues)
-            # flush() rewrites the rebuilt indexes; damage is gone.
-            store.flush()
-            assert store.verify() == []
-
-    def test_sidecar_claiming_too_many_bytes_detected(self, tmp_path):
-        root = tmp_path / "store-segments"
-        with ResultStore(root, backend="segment") as store:
-            keys = fill(store, 20)
-        sidecar = self._sidecars(root)[0]
-        data = json.loads(sidecar.read_text())
-        data["size"] += 4096  # index beyond EOF: segment was truncated
-        sidecar.write_text(json.dumps(data))
-
-        with ResultStore(root) as store:
-            for i, key in enumerate(keys):
-                assert store.get(key) == result(i)
-            issues = store.verify()
-            assert len(issues) == 1
-            assert "more bytes than the segment holds" in issues[0]["problem"]
-
-    def test_truncated_segment_tail_is_one_lost_record(self, tmp_path):
-        root = tmp_path / "store-segments"
-        with ResultStore(root, backend="segment") as store:
-            keys = fill(store, 20)
-        # Truncate one segment mid-record and invalidate its sidecar the
-        # way a crash would (sidecar written before the torn append).
-        segments = sorted(root.glob("seg-*.jsonl"))
-        victim = next(s for s in segments if s.stat().st_size > 60)
-        lines = victim.read_bytes().splitlines(keepends=True)
-        victim.write_bytes(b"".join(lines[:-1]) + lines[-1][:-25])
-        sidecar = victim.with_name(victim.name.replace(".jsonl", ".idx.json"))
-        if sidecar.exists():
-            sidecar.unlink()  # crash before the index flush
-
-        with ResultStore(root) as store:
-            values = [store.get(k) for k in keys]
-            misses = [v for v in values if v is None]
-            assert len(misses) == 1  # exactly the torn record
-            hits = sum(v is not None for v in values)
-            assert hits == 19
-            issues = store.verify()
-            assert [i["file"] for i in issues] == [str(victim)]
-            assert "unparseable" in issues[0]["problem"]
-            # Healing: re-putting every key restores full coverage.
-            for i, key in enumerate(keys):
-                store.put(key, descriptor(i), result(i))
-            assert all(store.get(k) is not None for k in keys)
-
-    def test_garbled_manifest_reported_and_survivable(self, tmp_path):
-        root = tmp_path / "store-segments"
-        with ResultStore(root, backend="segment") as store:
-            keys = fill(store, 8)
-        (root / "segment-store.json").write_text("}{")
-
-        with ResultStore(root) as store:
-            for i, key in enumerate(keys):
-                assert store.get(key) == result(i)
-            issues = store.verify()
-            assert any("garbled manifest" in i["problem"] for i in issues)

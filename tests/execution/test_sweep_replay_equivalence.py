@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
+from repro.api import ExecutionOptions
 from repro.errors import FrequencyError, WorkloadError
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.execution.sweep_replay import meter_end_state, sweep_run
@@ -200,7 +201,8 @@ class TestConsumerEquivalence:
         cluster = Cluster(2)
         maps = {
             engine: energy_heatmap(
-                "FT", threads=24, cluster=cluster, engine=engine
+                "FT", threads=24, cluster=cluster,
+                options=ExecutionOptions(engine=engine),
             )
             for engine in ("sweep", "loop")
         }
@@ -219,7 +221,8 @@ class TestConsumerEquivalence:
         ]
         sweep = energy_time_tradeoff("Mcb", configurations, cluster=cluster)
         loop = energy_time_tradeoff(
-            "Mcb", configurations, cluster=cluster, engine="loop"
+            "Mcb", configurations, cluster=cluster,
+            options=ExecutionOptions(engine="loop"),
         )
         assert sweep == loop
 
@@ -228,7 +231,11 @@ class TestConsumerEquivalence:
         from repro.analysis.tradeoffs import energy_time_tradeoff
         from repro.errors import CampaignError
 
-        with pytest.raises(CampaignError, match="heatmap engine"):
-            energy_heatmap("EP", threads=24, engine="warp")
-        with pytest.raises(CampaignError, match="tradeoff engine"):
-            energy_time_tradeoff("EP", [], engine="warp")
+        with pytest.raises(CampaignError, match="unknown engine"):
+            ExecutionOptions(engine="warp")
+        # Single-run engines do not measure grids.
+        replay = ExecutionOptions(engine="replay")
+        with pytest.raises(CampaignError, match="does not measure grids"):
+            energy_heatmap("EP", threads=24, options=replay)
+        with pytest.raises(CampaignError, match="does not measure grids"):
+            energy_time_tradeoff("EP", [], options=replay)

@@ -31,6 +31,7 @@ if __package__ in (None, ""):  # script execution: make `benchmarks` importable
 
 from benchmarks.bench_table6_savings import canned_tuning_model
 from repro.analysis.savings import compare_static_dynamic
+from repro.api import ExecutionOptions
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.modeling.crossval import network_loocv_mape
@@ -61,7 +62,8 @@ def compute_table6() -> dict:
     static = OperatingPoint(2.4, 2.0, 24)
     rows = {
         engine: compare_static_dynamic(
-            "Lulesh", static, model, cluster=Cluster(2), runs=2, engine=engine
+            "Lulesh", static, model, cluster=Cluster(2), runs=2,
+            options=ExecutionOptions(engine=engine),
         )
         for engine in ("replay", "recursive")
     }
@@ -146,7 +148,7 @@ def _compute_heatmap(benchmark: str, threads: int, selected) -> dict:
             threads=threads,
             cluster=Cluster(2),
             selected=selected,
-            engine=engine,
+            options=ExecutionOptions(engine=engine),
         )
         for engine in ("sweep", "loop")
     }

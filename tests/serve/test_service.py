@@ -11,12 +11,15 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
 from repro.errors import SchemaError
+from repro.execution.simulator import OperatingPoint
+from repro.readex.tuning_model import TuningModel
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
 
@@ -146,6 +149,8 @@ class TestLifecycle:
             (dict(EP, node_id=-1), "bad-value"),
             (dict(EP, tmm="{not json"), "bad-value"),
             (dict(EP, tmm='{"scenarios": []}'), "bad-value"),
+            (dict(EP, threads=25), "bad-value"),
+            (dict(EP, threads=999), "bad-value"),
         ],
         ids=[
             "no-version",
@@ -154,6 +159,8 @@ class TestLifecycle:
             "node-id-negative",
             "tmm-not-json",
             "tmm-missing-fields",
+            "threads-past-cores",
+            "threads-far-past-cores",
         ],
     )
     def test_schema_and_value_errors_map_to_codes(self, payload, code):
@@ -182,6 +189,33 @@ class TestLifecycle:
         assert good["result"] == api.tune(api.TuningRequest("EP", stride=7)).payload()
         assert edp["result"] == api.tune(
             api.TuningRequest("EP", stride=7, objective="edp")
+        ).payload()
+
+    def test_bad_thread_count_never_fails_its_window_mates(self):
+        """Regression: a thread count above the node's 24 cores used to
+        join the group and fail it at execution with a 500.  An MPI-only
+        code ignores ``threads``, so the same count is admitted there,
+        as :func:`api.tune` accepts it."""
+
+        async def scenario():
+            service = TuningService(max_batch=8, max_wait_s=0.05)
+            payloads = [
+                dict(EP, threads=25),
+                dict(EP, benchmark="Mcb"),
+                dict(EP, benchmark="Kripke", threads=25),
+                dict(EP, threads=999),
+            ]
+            responses = await asyncio.gather(
+                *(service.handle(p) for p in payloads)
+            )
+            await service.aclose()
+            return responses
+
+        poison, mcb, kripke, far = run(scenario())
+        assert poison["error"]["code"] == far["error"]["code"] == "bad-value"
+        assert mcb["result"] == api.tune(api.TuningRequest("Mcb", stride=7)).payload()
+        assert kripke["result"] == api.tune(
+            api.TuningRequest("Kripke", threads=25, stride=7)
         ).payload()
 
     def test_unknown_admission_mode_rejected(self):
@@ -354,3 +388,90 @@ class TestFaultsAndDrain:
         offline = api.tune(api.TuningRequest("EP", stride=7))
         assert answered["result"] == offline.payload()
         assert refused["error"]["code"] == "draining"
+
+
+# ---------------------------------------------------------------------------
+# Admission property: any mix of valid and invalid requests in one window
+# ---------------------------------------------------------------------------
+
+#: A field the generated payload leaves out.
+OMIT = object()
+
+#: A well-formed tuning model (phase-level only, so it prices on any
+#: benchmark).
+TMM = TuningModel.from_best_configs(
+    "Mcb", "phase", {"phase": OperatingPoint(2.4, 2.0, 24)}
+).to_json()
+
+#: Client-controlled wire values per field: (valid, invalid) choices.
+#: ``threads: 25`` is valid for the MPI-only Kripke only.  Strides stay
+#: coarse so every generated window executes in milliseconds.
+WIRE_VALUES = {
+    "version": ((WIRE_VERSION,), (99, OMIT)),
+    "benchmark": (("EP", "Mcb", "Kripke"), ("NoSuch", 7)),
+    "threads": ((OMIT, None, 1, 12, 24, 25), (999, 0, -3, "24", True)),
+    "objective": ((OMIT, "energy", "edp", "ed2p"), ("warp",)),
+    "stride": ((7, 9), (0, "7")),
+    "node_id": ((OMIT, 0, 1), (2, -1)),
+    "tmm": ((OMIT, None, TMM), ("{not json", '{"scenarios": []}')),
+    "bogus": ((OMIT,), (1,)),
+}
+
+#: Error codes a client's input may earn (HTTP 400); every other code
+#: maps to a 5xx or a server-side condition.
+CLIENT_ERROR_CODES = {"bad-request", "bad-value"}
+
+
+@st.composite
+def wire_payloads(draw):
+    """Mostly-valid payloads: each field is corrupted one time in six."""
+    payload = {}
+    for field, (valid, invalid) in WIRE_VALUES.items():
+        corrupt = draw(st.integers(0, 5)) == 5
+        value = draw(st.sampled_from(invalid if corrupt else valid))
+        if value is not OMIT:
+            payload[field] = value
+    return payload
+
+
+_SOLO: dict[str, object] = {}
+
+
+def solo_answer(payload):
+    """The offline answer for one payload: its api.tune payload as JSON
+    bytes, or ``None`` when parsing or tuning refuses it."""
+    from repro.errors import ReproError
+    from repro.serve.schema import parse_request
+
+    key = json.dumps(payload, sort_keys=True)
+    if key not in _SOLO:
+        try:
+            answer = api.tune(parse_request(payload))
+            _SOLO[key] = json.dumps(answer.payload(), sort_keys=True)
+        except ReproError:
+            _SOLO[key] = None
+    return _SOLO[key]
+
+
+class TestAdmissionProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(payloads=st.lists(wire_payloads(), min_size=1, max_size=6))
+    def test_window_answers_match_solo_and_never_5xx(self, payloads):
+        async def scenario():
+            service = TuningService(max_batch=16, max_wait_s=0.02)
+            responses = await asyncio.gather(
+                *(service.handle(p) for p in payloads)
+            )
+            await service.aclose()
+            return responses
+
+        for payload, response in zip(payloads, run(scenario())):
+            expected = solo_answer(payload)
+            if expected is None:
+                assert response["status"] == "error", payload
+                assert response["error"]["code"] in CLIENT_ERROR_CODES, (
+                    payload, response,
+                )
+            else:
+                assert response["status"] == "ok", (payload, response)
+                assert json.dumps(response["result"], sort_keys=True) == expected
