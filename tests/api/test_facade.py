@@ -37,6 +37,11 @@ class TestExecutionOptions:
         with pytest.raises(CampaignError, match="unknown"):
             api.ExecutionOptions(**kwargs)
 
+    def test_retired_measurement_field_rejected(self):
+        with pytest.raises(TypeError, match="measurement"):
+            api.ExecutionOptions(measurement="grid")
+        assert not hasattr(api, "MEASUREMENTS")
+
     def test_grid_engine_mapping(self):
         assert api.ExecutionOptions().grid_engine() == "sweep"
         assert api.ExecutionOptions(engine="sweep").grid_engine() == "sweep"

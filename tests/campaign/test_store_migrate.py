@@ -192,3 +192,62 @@ def test_legacy_segment_directory_is_not_a_live_store(tmp_path):
     write_segment_store(segments)
     with pytest.raises(CampaignError, match="repro-campaign store migrate"):
         ResultStore(segments)
+
+
+def test_legacy_import_loses_only_a_torn_segment_tail(tmp_path):
+    """A crash mid-append tore the last line of one segment: that one
+    record is dropped, every other record is imported."""
+    segments = tmp_path / "legacy-segments"
+    effective = write_segment_store(segments)
+    victim = sorted(segments.glob("seg-*.jsonl"))[0]
+    lines = victim.read_bytes().splitlines(keepends=True)
+    torn = json.loads(lines[-1])
+    victim.write_bytes(b"".join(lines[:-1]) + lines[-1][:-25])
+    dest = tmp_path / "imported.sqlite"
+
+    stats = migrate_store(segments, dest)
+    assert stats["migrated"] == len(effective) - 1
+
+    with ResultStore(dest) as out:
+        imported = {r["key"]: r for r in out.iter_records()}
+    assert torn["key"] not in imported
+    assert imported == {k: r for k, r in effective.items() if k != torn["key"]}
+
+
+@pytest.mark.parametrize("extra", ("garbled-manifest", "offset-sidecars"))
+def test_legacy_import_reads_only_segment_files(tmp_path, extra):
+    """The manifest and the ``seg-K.idx.json`` offset indexes were
+    advisory; the import never reads them, so neither damage to the
+    manifest nor the sidecars' own JSON lines change what is
+    imported."""
+    segments = tmp_path / "legacy-segments"
+    effective = write_segment_store(segments)
+    if extra == "garbled-manifest":
+        (segments / "segment-store.json").write_text("}{")
+    else:
+        for segment in segments.glob("seg-*.jsonl"):
+            keys = [json.loads(line)["key"] for line in segment.open()]
+            sidecar = {
+                "segments": 2,
+                "size": segment.stat().st_size,
+                "offsets": {key: 0 for key in keys},
+            }
+            segment.with_name(
+                segment.name.replace(".jsonl", ".idx.json")
+            ).write_text(json.dumps(sidecar) + "\n")
+    dest = tmp_path / "imported.jsonl"
+
+    stats = migrate_store(segments, dest)
+    assert stats["migrated"] == len(effective)
+    with ResultStore(dest) as out:
+        assert {r["key"]: r for r in out.iter_records()} == effective
+
+
+def test_migrate_refuses_directory_destination(tmp_path):
+    source = tmp_path / "source.jsonl"
+    shutil.copy(V2_FIXTURE, source)
+    dest = tmp_path / "dest-dir"
+    dest.mkdir()
+    with pytest.raises(CampaignError, match="is a directory"):
+        migrate_store(source, dest)
+    assert list(dest.iterdir()) == []

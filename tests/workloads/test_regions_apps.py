@@ -55,6 +55,36 @@ class TestApplication:
         assert ProgrammingModel.HYBRID.supports_thread_tuning
 
 
+class TestResolveThreads:
+    """The one thread-count rule shared by the simulators and serving."""
+
+    def test_none_means_application_default(self):
+        app = registry.build("Lulesh")
+        assert app.resolve_threads(None, 24) == app.default_threads
+
+    @pytest.mark.parametrize("threads", (1, 12, 24))
+    def test_in_range_count_is_used_as_asked(self, threads):
+        app = registry.build("Lulesh")
+        assert app.resolve_threads(threads, 24) == threads
+
+    def test_mpi_only_code_runs_at_its_default(self):
+        app = registry.build("Kripke")
+        assert app.model is ProgrammingModel.MPI
+        assert app.resolve_threads(4, 24) == app.default_threads
+
+    @pytest.mark.parametrize("threads", (0, -3, 25))
+    def test_out_of_range_count_rejected(self, threads):
+        app = registry.build("Lulesh")
+        with pytest.raises(WorkloadError, match="invalid thread count"):
+            app.resolve_threads(threads, 24)
+
+    def test_default_is_checked_against_the_core_count(self):
+        app = registry.build("Kripke")
+        assert app.default_threads > 12
+        with pytest.raises(WorkloadError, match="invalid thread count"):
+            app.resolve_threads(None, 12)
+
+
 class TestRegistry:
     def test_nineteen_benchmarks(self):
         assert len(registry.benchmark_names()) == 19
