@@ -13,7 +13,7 @@
 * :mod:`repro.modeling.crossval` / :mod:`.metrics` — LOOCV / k-fold and
   MAPE;
 * :mod:`repro.modeling.batched` — the batched model-evaluation engine
-  (full-matrix forward/backward, grid-shaped prediction);
+  (full-matrix forward, grid-shaped prediction);
 * :mod:`repro.modeling.model_cache` — content-addressed caching of
   trained model parameters in the campaign result store.
 """

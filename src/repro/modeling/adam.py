@@ -11,20 +11,31 @@ import numpy as np
 from repro.errors import ModelError
 
 
+def flat_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views into ``flat``, one per array of ``like`` and shaped like it,
+    laid out back to back."""
+    views, start = [], 0
+    for p in like:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return views
+
+
 class Adam:
     """Adaptive moment estimation over a flat list of parameter arrays.
 
     ``gradients`` may be bound once at construction when the gradient
-    arrays have stable identity (layers write into preallocated
-    buffers); :meth:`step` then needs no arguments and the per-update
-    list rebuild disappears from the training loop.
+    arrays have stable identity; :meth:`step` then needs no arguments.
+    Training binds one flat gradient vector to one flat parameter
+    vector (``Adam([theta], gradients=[grad])``), so a step gathers and
+    scatters a single array.
 
     The moments live in one flat float64 vector each: a step gathers the
     gradients into a flat buffer, runs the update expressions once over
     it and subtracts each parameter's slice back in place.  The
     operations are elementwise, so the result is bit-identical to
     updating every array on its own — only the per-array call overhead
-    is gone.
+    is gone.  The hyper-parameters are fixed at construction.
     """
 
     def __init__(
@@ -56,18 +67,19 @@ class Adam:
         self._v = np.zeros(size)
         self._g = np.empty(size)
         self._update = np.empty(size)
-        self._g_parts = self._views(self._g)
-        self._update_parts = self._views(self._update)
+        self._m_hat = np.empty(size)
+        self._temp = np.empty(size)
+        # The scalar factors as full-size vectors (fixed at construction):
+        # on a vector this small an array-array ufunc call costs a third
+        # of a scalar-operand one, and the arithmetic is the same.
+        self._beta1, self._beta2 = np.full(size, beta1), np.full(size, beta2)
+        self._one_minus = np.full(size, 1 - beta1), np.full(size, 1 - beta2)
+        self._learning_rate = np.full(size, learning_rate)
+        self._epsilon = np.full(size, epsilon)
+        self._correction = np.empty(size)
+        self._g_parts = flat_views(self._g, parameters)
+        self._update_parts = flat_views(self._update, parameters)
         self._t = 0
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views into a flat buffer, shaped like the
-        parameters."""
-        views, start = [], 0
-        for p in self._params:
-            views.append(flat[start:start + p.size].reshape(p.shape))
-            start += p.size
-        return views
 
     def step(self, gradients: list[np.ndarray] | None = None) -> None:
         """Apply one update; gradients default to the bound buffers."""
@@ -84,16 +96,25 @@ class Adam:
                 raise ModelError(f"gradient shape {g.shape} != param {p.shape}")
             part[...] = g
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        # Every expression runs into a preallocated buffer (outputs passed
+        # positionally), in the textbook order of operations, so the
+        # bits equal ``m = b1 m + (1 - b1) g`` ... evaluated with
+        # temporaries.
         g, m, v = self._g, self._m, self._v
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**self._t)
-        v_hat = v / (1 - b2**self._t)
-        update = np.multiply(self.learning_rate, m_hat, out=self._update)
-        update /= np.sqrt(v_hat) + self.epsilon
+        temp, m_hat, update = self._temp, self._m_hat, self._update
+        correction = self._correction
+        np.multiply(m, self._beta1, m)
+        np.add(m, np.multiply(self._one_minus[0], g, temp), m)
+        np.multiply(v, self._beta2, v)
+        np.multiply(np.multiply(self._one_minus[1], g, temp), g, temp)
+        np.add(v, temp, v)
+        correction.fill(1 - self.beta1**self._t)
+        np.true_divide(m, correction, m_hat)
+        correction.fill(1 - self.beta2**self._t)
+        np.true_divide(v, correction, temp)  # v_hat
+        np.multiply(self._learning_rate, m_hat, update)
+        np.add(np.sqrt(temp, temp), self._epsilon, temp)
+        np.true_divide(update, temp, update)
         for p, part in zip(self._params, self._update_parts):
             p -= part
 

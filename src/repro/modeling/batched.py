@@ -1,4 +1,4 @@
-"""Batched model-evaluation engine: full-matrix MLP forward/backward.
+"""Batched model-evaluation engine: full-matrix MLP forward.
 
 The tuning layer keeps asking the energy network the same shape of
 question: *given counter rates for a region (or a whole benchmark
@@ -13,10 +13,10 @@ This module answers it for *all* rate vectors at once:
 * :func:`stack_grid_features` builds the ``(rows * grid, features)``
   input tensor with two strided copies (``repeat`` + ``tile``) instead
   of ``rows * grid`` Python-level ``np.concatenate`` calls;
-* :func:`forward_batch` / :func:`backward_batch` run the whole stack
-  through the 9-5-5-1 network in a handful of matmuls, reusing the
-  exact per-layer operations of :class:`~repro.modeling.layers.Dense`
-  and :class:`~repro.modeling.layers.ReLU`;
+* :func:`forward_batch` runs the whole stack through the 9-5-5-1
+  network in a handful of matmuls, reusing the exact per-layer
+  operations of :class:`~repro.modeling.layers.Dense` and
+  :class:`~repro.modeling.layers.ReLU`;
 * :class:`BatchedModelEvaluator` wraps a trained model (network +
   scaler) and exposes grid-shaped prediction.
 
@@ -90,7 +90,7 @@ def stack_grid_features(rates: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Full-matrix forward / backward
+# Full-matrix forward
 # ---------------------------------------------------------------------------
 
 def forward_batch(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -110,38 +110,6 @@ def forward_batch(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         if i != n_dense - 1:
             out = np.where(out > 0, out, 0.0)
     return out
-
-
-def backward_batch(
-    weights: list[np.ndarray], x: np.ndarray, grad_out: np.ndarray
-) -> list[np.ndarray]:
-    """Gradients of all parameters for the whole stack in one pass.
-
-    Equivalent to running :meth:`EnergyNetwork.forward` then
-    :meth:`EnergyNetwork.backward` on the same batch: the returned list
-    is aligned with the ``[W1, b1, W2, b2, ...]`` parameter layout.
-    """
-    if len(weights) < 2 or len(weights) % 2:
-        raise ModelError(f"weights must be [W, b] pairs, got {len(weights)} arrays")
-    out = np.asarray(x, dtype=float)
-    n_dense = len(weights) // 2
-    inputs: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-    for i in range(n_dense):
-        inputs.append(out)
-        out = out @ weights[2 * i] + weights[2 * i + 1]
-        if i != n_dense - 1:
-            mask = out > 0
-            masks.append(mask)
-            out = np.where(mask, out, 0.0)
-    grads: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grad = np.asarray(grad_out, dtype=float)
-    for i in reversed(range(n_dense)):
-        grads[2 * i] = inputs[i].T @ grad
-        grads[2 * i + 1] = grad.sum(axis=0)
-        if i > 0:
-            grad = (grad @ weights[2 * i].T) * masks[i - 1]
-    return grads
 
 
 # ---------------------------------------------------------------------------

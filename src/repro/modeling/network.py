@@ -4,6 +4,12 @@ A 2-hidden-layer fully-connected network: nine inputs (seven PAPI counter
 rates + core frequency + uncore frequency), two hidden layers of five
 neurons, one output neuron predicting normalized node energy.  ReLU
 activations, He initialisation, trained with ADAM on MSE.
+
+The network is the forward model and the owner of the weights.  It has
+no backward pass of its own: :func:`repro.modeling.training.train_network`
+copies :attr:`EnergyNetwork.parameters` into one flat vector, trains it
+through the package's single training-step kernel and writes the
+result back, bit-identical to a layer-by-layer backward pass.
 """
 
 from __future__ import annotations
@@ -47,10 +53,6 @@ class EnergyNetwork:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters]
 
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.gradients]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Predict; returns shape ``(n, 1)`` for input ``(n, n_inputs)``."""
         x = np.asarray(x, dtype=float)
@@ -64,11 +66,6 @@ class EnergyNetwork:
         for layer in self.layers:
             out = layer.forward(out)
         return out
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Prediction as a flat vector."""

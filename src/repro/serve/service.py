@@ -30,9 +30,11 @@
    are first split by grid key so distinct measurements spread across
    workers); otherwise groups run serially on one worker thread.
    Either way execution goes through the campaign engine (store-backed
-   caching plus the PR-7 retry/timeout semantics) and definitive
+   caching plus its retry/timeout semantics) and definitive
    failures come back as structured ``quarantined`` /
-   ``execution-error`` responses, never as a dead connection.
+   ``execution-error`` responses, never as a dead connection.  A
+   coalesced group that fails is re-dispatched one member at a time,
+   so the error reaches only the member that fails alone.
    Responses are bit-identical across both paths.
 
 Graceful drain (:meth:`drain`): stop admitting, flush every pending
@@ -456,7 +458,7 @@ class TuningService:
             else [group]
         )
         for part in parts:
-            task = loop.create_task(self._execute_group(part))
+            task = loop.create_task(self._execute(part.requests))
             self._group_tasks.add(task)
             task.add_done_callback(self._group_tasks.discard)
 
@@ -483,31 +485,39 @@ class TuningService:
                 self._serial_groups += 1
         return ("ok", [answer.payload() for answer in answers], None)
 
-    async def _execute_group(self, group: batching.PendingGroup) -> None:
+    async def _execute(self, requests: list[api.TuningRequest]) -> None:
+        """Execute one group and answer its members.
+
+        A multi-member group that fails with a library error (a
+        :class:`ReproError`, raised here or in a pool worker) is
+        re-dispatched one member at a time, so only the member that
+        fails alone gets the error envelope; its batch-mates are
+        answered as if they had never been coalesced with it.
+        """
         dispatch = pooling.GroupDispatch()
         self._dispatches.add(dispatch)
-        coalesced = len(group.requests) - 1
+        coalesced = len(requests) - 1
+        isolate = coalesced > 0
         try:
             try:
-                outcome = await self._dispatch_group(
-                    group.requests, dispatch
-                )
+                outcome = await self._dispatch_group(requests, dispatch)
             except asyncio.CancelledError:
                 if not dispatch.cancelled:
                     raise
                 # Drain deadline: this group never started executing.
-                self.metrics.drain_cancelled += len(group.requests)
+                self.metrics.drain_cancelled += len(requests)
                 response = error_response(
                     "draining",
                     "the drain deadline expired before this queued "
                     "group started; resubmit against another instance",
                 )
-                for request in group.requests:
+                for request in requests:
                     self._resolve(request, dict(response))
                 return
             except ReproError as exc:
                 outcome = ("error", pooling.failure_envelope(exc), None)
             except Exception as exc:  # pool broken beyond its respawn budget
+                isolate = False  # re-running the members would fail alike
                 outcome = (
                     "error",
                     error_response(
@@ -519,13 +529,18 @@ class TuningService:
         finally:
             self._dispatches.discard(dispatch)
         if outcome[0] == "error":
+            if isolate:
+                await asyncio.gather(
+                    *(self._execute([request]) for request in requests)
+                )
+                return
             envelope = outcome[1]
             if envelope["error"]["code"] == "quarantined":
-                self.metrics.quarantined += len(group.requests)
-            for request in group.requests:
+                self.metrics.quarantined += len(requests)
+            for request in requests:
                 self._resolve(request, dict(envelope))
             return
-        for request, payload in zip(group.requests, outcome[1]):
+        for request, payload in zip(requests, outcome[1]):
             self._resolve(
                 request,
                 ok_response(

@@ -407,11 +407,9 @@ class WorkerPool:
                         raise
                     await self._respawn(generation)
                     continue
-                if outcome[0] == "ok":
-                    pid = outcome[2]
-                    self.groups_by_pid[pid] = (
-                        self.groups_by_pid.get(pid, 0) + 1
-                    )
+                # Failed groups were executed too.
+                pid = outcome[2]
+                self.groups_by_pid[pid] = self.groups_by_pid.get(pid, 0) + 1
                 return outcome
         finally:
             self._inflight -= 1

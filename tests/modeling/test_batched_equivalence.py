@@ -14,7 +14,6 @@ from repro.campaign.store import ResultStore
 from repro.errors import ModelError
 from repro.modeling.batched import (
     BatchedModelEvaluator,
-    backward_batch,
     forward_batch,
     frequency_grid,
     predict_energy_grid,
@@ -75,24 +74,9 @@ class TestForwardBackward:
             ]
             assert np.array_equal(np.vstack(parts), full)
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_backward_batch_matches_network_backward(self, seed):
-        net = EnergyNetwork(seed=seed)
-        rng = rng_for("batched-grad", seed=seed)
-        x = rng.normal(size=(37, 9))
-        grad_out = rng.normal(size=(37, 1))
-        net.backward(np.asarray(net.forward(x) * 0 + grad_out))
-        reference = [g.copy() for g in net.gradients]
-        grads = backward_batch(net.parameters, x, grad_out)
-        assert len(grads) == len(reference)
-        for got, want in zip(grads, reference):
-            assert np.array_equal(got, want)
-
     def test_malformed_weights_rejected(self):
         with pytest.raises(ModelError):
             forward_batch([np.ones((9, 5))], np.ones((2, 9)))
-        with pytest.raises(ModelError):
-            backward_batch([np.ones((9, 5))], np.ones((2, 9)), np.ones((2, 1)))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ModelError):

@@ -9,7 +9,7 @@ from repro.modeling.adam import Adam
 from repro.modeling.layers import Dense, ReLU
 from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.network import EnergyNetwork
-from repro.modeling.training import TrainingConfig, train_network
+from repro.modeling.training import TrainingConfig, batch_gradients, train_network
 
 
 class TestLayers:
@@ -27,34 +27,46 @@ class TestLayers:
         assert np.all(layer.bias == 0.0)
 
     def test_dense_gradient_check(self):
-        """Backprop gradient matches numerical finite differences."""
+        """The training kernel's backprop gradients match numerical
+        finite differences of its own loss, for every parameter."""
         rng = np.random.default_rng(0)
-        layer = Dense(4, 3, rng=rng)
+        net = EnergyNetwork(n_inputs=4, seed=0)
+        weights = net.parameters
+        # Non-zero biases keep every pre-activation off the ReLU kink
+        # (a unit whose inputs are all dead would sit exactly at zero).
+        for bias in weights[1::2]:
+            bias[...] = rng.uniform(0.2, 0.5, size=bias.shape)
         x = rng.standard_normal((5, 4))
-        target = rng.standard_normal((5, 3))
-        pred = layer.forward(x)
-        layer.backward(mse_gradient(pred, target))
-        analytic = layer.grad_weights.copy()
+        target = rng.standard_normal((5, 1))
+        _, grads = batch_gradients(weights, x, target)
         eps = 1e-6
-        for i, j in [(0, 0), (2, 1), (3, 2)]:
-            layer.weights[i, j] += eps
-            up = mse(layer.forward(x), target)
-            layer.weights[i, j] -= 2 * eps
-            down = mse(layer.forward(x), target)
-            layer.weights[i, j] += eps
-            numeric = (up - down) / (2 * eps)
-            assert analytic[i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+        for param, analytic in zip(weights, grads):
+            for cell in np.ndindex(param.shape):
+                param[cell] += eps
+                up, _ = batch_gradients(weights, x, target)
+                param[cell] -= 2 * eps
+                down, _ = batch_gradients(weights, x, target)
+                param[cell] += eps
+                numeric = (up - down) / (2 * eps)
+                assert analytic[cell] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
     def test_relu_masks_negatives(self):
+        """Forward zeroes non-positive pre-activations; the kernel's
+        backward passes gradient only where the pre-activation was
+        positive.  Identity hidden layers expose both: the last layer's
+        weight gradient is the ReLU output, the first layer's bias
+        gradient the masked upstream gradient."""
         relu = ReLU()
         out = relu.forward(np.array([[-1.0, 0.0, 2.0]]))
         assert out.tolist() == [[0.0, 0.0, 2.0]]
-        grad = relu.backward(np.array([[1.0, 1.0, 1.0]]))
-        assert grad.tolist() == [[0.0, 0.0, 1.0]]
-
-    def test_backward_before_forward_rejected(self):
-        with pytest.raises(ModelError):
-            Dense(2, 2).backward(np.ones((1, 2)))
+        eye = np.eye(3)
+        weights = [eye, np.zeros(3), eye, np.zeros(3), np.ones((3, 1)), np.zeros(1)]
+        x = np.array([[-1.0, 0.0, 2.0]])
+        # prediction 2.0, target 1.5: d(loss)/d(prediction) = 1.0
+        loss, grads = batch_gradients(weights, x, np.array([[1.5]]))
+        assert loss == 0.25
+        assert grads[4].tolist() == [[0.0], [0.0], [2.0]]
+        assert grads[1].tolist() == [0.0, 0.0, 1.0]
 
 
 class TestNetworkArchitecture:
@@ -143,8 +155,9 @@ class TestAdam:
 
 
 class TestAllocationFreeUpdates:
-    """The preallocated-gradient path (Dense buffers + bound Adam) must
-    be numerically identical to per-step list passing."""
+    """The bound-gradient path (the training kernel's flat gradient
+    vector + bound Adam) must be numerically identical to per-step list
+    passing."""
 
     @staticmethod
     def _data():
@@ -153,27 +166,34 @@ class TestAllocationFreeUpdates:
         y = rng.standard_normal(40)
         return x, y
 
-    def test_gradient_buffers_are_stable_and_written_in_place(self):
-        layer = Dense(4, 3, rng=np.random.default_rng(0))
-        gw, gb = layer.grad_weights, layer.grad_bias
-        x = np.random.default_rng(1).standard_normal((5, 4))
-        layer.forward(x)
-        layer.backward(np.ones((5, 3)))
-        assert layer.grad_weights is gw
-        assert layer.grad_bias is gb
-        layer.backward(2 * np.ones((5, 3)))
-        assert layer.grad_weights is gw  # still the same buffer
-
     def test_bound_optimizer_matches_explicit_gradients(self):
         """Same data, same seeds: bound-gradient stepping produces the
         exact per-epoch losses and final weights of explicit stepping."""
         x, y = self._data()
         bound = train_network(x, y, config=TrainingConfig(epochs=3, seed=0))
 
-        # Reference loop: fresh gradient list passed every update, fresh
-        # gradient copies so no buffer identity is exploited.
+        # Reference loop: per-layer forward and backward on the network's
+        # own arrays and a fresh gradient list passed every update, so
+        # no flat vector or buffer identity is exploited.
         from repro.modeling.scaler import StandardScaler
         from repro.util.rng import rng_for
+
+        def backprop(xb, yb):
+            dense = net.layers[::2]
+            inputs, masks, out = [], [], xb
+            for i, layer in enumerate(dense):
+                inputs.append(out)
+                out = layer.forward(out)
+                if i < len(dense) - 1:
+                    masks.append(out > 0)
+                    out = net.layers[2 * i + 1].forward(out)
+            grad, grads = mse_gradient(out, yb), []
+            for i in reversed(range(len(dense))):
+                grads[:0] = [inputs[i].T @ grad, np.sum(grad, axis=0)]
+                grad = grad @ dense[i].weights.T
+                if i:
+                    grad = grad * masks[i - 1]
+            return mse(out, yb), grads
 
         scaler = StandardScaler()
         xs = scaler.fit_transform(x)
@@ -187,11 +207,10 @@ class TestAllocationFreeUpdates:
             epoch_loss, batches = 0.0, 0
             for start in range(0, 40, 1):
                 idx = order[start : start + 1]
-                pred = net.forward(xs[idx])
-                epoch_loss += mse(pred, ys[idx])
+                loss, grads = backprop(xs[idx], ys[idx])
+                epoch_loss += loss
                 batches += 1
-                net.backward(mse_gradient(pred, ys[idx]))
-                optimizer.step([g.copy() for g in net.gradients])
+                optimizer.step(grads)
             losses.append(epoch_loss / batches)
 
         assert bound.losses == losses

@@ -17,9 +17,10 @@ from repro import api
 from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import SchemaError
+from repro.errors import CampaignError, SchemaError
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
+from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
 
@@ -393,6 +394,92 @@ class TestFaultsAndDrain:
 # ---------------------------------------------------------------------------
 # Admission property: any mix of valid and invalid requests in one window
 # ---------------------------------------------------------------------------
+
+class TestMemberIsolation:
+    """A coalesced group that fails is re-dispatched one member at a
+    time, so the error reaches only the member that fails alone."""
+
+    #: Four grid keys: split over two pool workers, CG shares its part
+    #: with Mcb (keys alternate between parts in admission order).
+    PAYLOADS = [
+        dict(EP),
+        {"version": WIRE_VERSION, "benchmark": "CG", "stride": 7},
+        {"version": WIRE_VERSION, "benchmark": "Lulesh", "stride": 9},
+        {"version": WIRE_VERSION, "benchmark": "Mcb", "stride": 9},
+        dict(EP, objective="edp"),
+    ]
+
+    @staticmethod
+    def poison(monkeypatch, benchmark):
+        """Make ``answer_group`` fail every group holding ``benchmark``;
+        returns the benchmarks of each group it was called with (on
+        the serial path; pool workers record into their own copy)."""
+        original = batching.answer_group
+        groups = []
+
+        def answer_group(requests, options=None):
+            groups.append([request.benchmark for request in requests])
+            if any(request.benchmark == benchmark for request in requests):
+                raise CampaignError(f"{benchmark} poisons its group")
+            return original(requests, options)
+
+        monkeypatch.setattr(batching, "answer_group", answer_group)
+        return groups
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_culprit_gets_the_error(self, monkeypatch, workers):
+        groups = self.poison(monkeypatch, "CG")
+
+        async def scenario():
+            # The group fires on its last admission (max_batch), never
+            # on the window timer, which drain cancels.
+            service = TuningService(
+                max_batch=len(self.PAYLOADS), max_wait_s=60.0, workers=workers
+            )
+            responses = await asyncio.gather(
+                *(service.handle(dict(p)) for p in self.PAYLOADS)
+            )
+            metrics = service.metrics_payload()
+            await service.aclose()
+            return responses, metrics
+
+        responses, metrics = run(scenario())
+        for payload, response in zip(self.PAYLOADS, responses):
+            if payload["benchmark"] == "CG":
+                assert response["status"] == "error"
+                assert response["error"]["code"] == "execution-error"
+                assert "CG poisons its group" in response["error"]["message"]
+            else:
+                assert response["status"] == "ok", response
+                result = json.dumps(response["result"], sort_keys=True)
+                assert result == solo_answer(payload)
+        assert metrics["groups_fired"] == 1
+        # Failed groups count as executed, the CG single included.
+        if workers == 1:
+            # the whole window, then each of its five members alone
+            benchmarks = [p["benchmark"] for p in self.PAYLOADS]
+            assert groups == [benchmarks] + [[b] for b in benchmarks]
+            assert metrics["worker_pool"]["groups_executed"] == 6
+        else:
+            # [EP, Lulesh, EP] answers; [CG, Mcb] fails, then CG and
+            # Mcb run alone
+            assert metrics["worker_pool"]["groups_executed"] == 4
+
+    def test_single_member_failure_is_not_retried(self, monkeypatch):
+        groups = self.poison(monkeypatch, "CG")
+
+        async def scenario():
+            service = TuningService(max_batch=1, max_wait_s=60.0)
+            response = await service.handle(dict(self.PAYLOADS[1]))
+            metrics = service.metrics_payload()
+            await service.aclose()
+            return response, metrics
+
+        response, metrics = run(scenario())
+        assert response["error"]["code"] == "execution-error"
+        assert groups == [["CG"]]
+        assert metrics["worker_pool"]["groups_executed"] == 1
+
 
 #: A field the generated payload leaves out.
 OMIT = object()
